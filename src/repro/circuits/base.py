@@ -163,8 +163,21 @@ class CircuitDesign(abc.ABC):
         """The circuit's DC/AC/noise recipe, when its evaluation fits one.
 
         Returns ``None`` for circuits whose evaluation needs analyses the
-        batch engine does not cover (e.g. the LDO's transient sweeps); those
-        are evaluated serially by every backend.
+        plan does not cover (e.g. the LDO's settling transients); the
+        vectorized backend then asks :meth:`evaluate_stacked` instead, and
+        evaluates the batch serially if that has no stacked path either.
+        """
+        return None
+
+    def evaluate_stacked(
+        self, sizings: Sequence[Sizing]
+    ) -> Optional[List[Dict[str, float]]]:
+        """:meth:`evaluate` for a whole batch through stacked solves.
+
+        The hook of plan-less circuits that still batch part of their
+        evaluation (the LDO stacks its settling transients).  Must return
+        exactly what :meth:`evaluate` returns per sizing, in order; the
+        default ``None`` means the circuit has no stacked path.
         """
         return None
 

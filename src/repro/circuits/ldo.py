@@ -13,7 +13,7 @@ supply increase / decrease (TV+/TV-), PSRR, and power.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import math
 
@@ -29,10 +29,11 @@ from repro.circuits.components import (
 from repro.circuits.parameters import Sizing
 from repro.spice import measurements as meas
 from repro.spice.ac import ac_analysis, logspace_frequencies
+from repro.spice.batch.transient import batch_transient_analysis
 from repro.spice.circuit import Circuit
-from repro.spice.dc import dc_operating_point
+from repro.spice.dc import DCSolution, dc_operating_point
 from repro.spice.elements import CurrentSource, VoltageSource
-from repro.spice.transient import pulse_waveform, transient_analysis
+from repro.spice.transient import TransientSolution, pulse_waveform, transient_analysis
 
 
 class LowDropoutRegulator(CircuitDesign):
@@ -131,31 +132,20 @@ class LowDropoutRegulator(CircuitDesign):
         add_sized_components(circuit, self.components, sizing, tech)
         return circuit
 
-    def _settling_pair(self, circuit, node: str) -> Dict[str, float]:
-        tran = transient_analysis(circuit, self.TRAN_STOP, self.TRAN_STEP)
-        waveform = tran.voltage(node)
-        # First event window ends just before the second event so the two
-        # settling measurements do not contaminate each other.
-        first_window = tran.times < self.TRAN_SECOND_EVENT
-        rise = meas.settling_time(
-            tran.times[first_window],
-            waveform[first_window],
-            self.TRAN_EVENT,
-            tolerance=0.005,
-        )
-        fall = meas.settling_time(
-            tran.times, waveform, self.TRAN_SECOND_EVENT, tolerance=0.005
-        )
-        return {"up": rise, "down": fall, "converged": tran.converged}
+    def _steady_state(self, sizing: Sizing) -> Optional[Tuple[DCSolution, Dict[str, float]]]:
+        """DC at light and heavy load plus the PSRR sweep of one sizing.
 
-    def evaluate(self, sizing: Sizing) -> Dict[str, float]:
+        Returns the light-load operating point (the transients start from
+        it) with the regulation, PSRR and power metrics, or ``None`` when a
+        DC solve fails.
+        """
         # 1) DC at light and heavy load: regulation, power, operating point.
         light = self.build_circuit(sizing, load_current=self.LOAD_LIGHT)
         op_light = dc_operating_point(light)
         heavy = self.build_circuit(sizing, load_current=self.LOAD_HEAVY)
         op_heavy = dc_operating_point(heavy)
         if not (op_light.converged and op_heavy.converged):
-            return self.failure_metrics()
+            return None
 
         v_light = op_light.voltage("vout")
         v_heavy = op_heavy.voltage("vout")
@@ -171,19 +161,29 @@ class LowDropoutRegulator(CircuitDesign):
         )
 
         # 2) PSRR from an AC analysis with a unit AC source on the supply.
+        # DC stamps ignore the AC magnitude, so the light-load operating
+        # point is also the operating point of the AC circuit.
         ac_circuit = self.build_circuit(
             sizing, load_current=self.LOAD_LIGHT, supply_ac=1.0
         )
-        op_ac = dc_operating_point(ac_circuit)
-        if not op_ac.converged:
-            return self.failure_metrics()
-        ac = ac_analysis(ac_circuit, op_ac, self.FREQUENCIES)
+        ac = ac_analysis(ac_circuit, op_light, self.FREQUENCIES)
         supply_gain = ac.voltage("vout")
         psrr_db = -20.0 * math.log10(
             max(float(abs(supply_gain[0])), 1e-9)
         )
+        return op_light, {
+            "load_regulation": regulation_mv_ma,
+            "psrr": psrr_db,
+            "power": power,
+        }
 
-        # 3) Load-step transient (up then down).
+    def step_circuits(self, sizing: Sizing) -> Tuple[Circuit, Circuit]:
+        """The load-step and supply-step transient netlists of one sizing.
+
+        Both steps go up at ``TRAN_EVENT`` and back down at
+        ``TRAN_SECOND_EVENT``; at ``t = 0`` each circuit is the light-load
+        DC circuit, so the light-load operating point starts both.
+        """
         load_wave = pulse_waveform(
             self.TRAN_EVENT,
             self.TRAN_SECOND_EVENT - self.TRAN_EVENT,
@@ -191,12 +191,6 @@ class LowDropoutRegulator(CircuitDesign):
             self.LOAD_HEAVY,
             edge_time=5e-8,
         )
-        load_circuit = self.build_circuit(
-            sizing, load_current=self.LOAD_LIGHT, load_waveform=load_wave
-        )
-        load_settle = self._settling_pair(load_circuit, "vout")
-
-        # 4) Supply-step transient (up then down).
         vdd = self.technology.vdd
         supply_wave = pulse_waveform(
             self.TRAN_EVENT,
@@ -205,24 +199,89 @@ class LowDropoutRegulator(CircuitDesign):
             vdd + self.SUPPLY_STEP,
             edge_time=5e-8,
         )
-        supply_circuit = self.build_circuit(
-            sizing, load_current=self.LOAD_LIGHT, supply_waveform=supply_wave
+        return (
+            self.build_circuit(
+                sizing, load_current=self.LOAD_LIGHT, load_waveform=load_wave
+            ),
+            self.build_circuit(
+                sizing, load_current=self.LOAD_LIGHT, supply_waveform=supply_wave
+            ),
         )
-        supply_settle = self._settling_pair(supply_circuit, "vout")
 
-        if not (load_settle["converged"] and supply_settle["converged"]):
+    def _settling_pair(self, tran: TransientSolution) -> Tuple[float, float]:
+        """Settling times of ``vout`` after the rising and the falling event."""
+        waveform = tran.voltage("vout")
+        # First event window ends just before the second event so the two
+        # settling measurements do not contaminate each other.
+        first_window = tran.times < self.TRAN_SECOND_EVENT
+        rise = meas.settling_time(
+            tran.times[first_window],
+            waveform[first_window],
+            self.TRAN_EVENT,
+            tolerance=0.005,
+        )
+        fall = meas.settling_time(
+            tran.times, waveform, self.TRAN_SECOND_EVENT, tolerance=0.005
+        )
+        return rise, fall
+
+    def _measure(
+        self,
+        steady: Dict[str, float],
+        load_tran: TransientSolution,
+        supply_tran: TransientSolution,
+    ) -> Dict[str, float]:
+        """Metrics from the steady-state results and the two step responses."""
+        if not (load_tran.converged and supply_tran.converged):
             return self.failure_metrics()
-
+        tl_plus, tl_minus = self._settling_pair(load_tran)
+        tv_plus, tv_minus = self._settling_pair(supply_tran)
         return {
-            "tl_plus": load_settle["up"],
-            "tl_minus": load_settle["down"],
-            "load_regulation": regulation_mv_ma,
-            "tv_plus": supply_settle["up"],
-            "tv_minus": supply_settle["down"],
-            "psrr": psrr_db,
-            "power": power,
+            "tl_plus": tl_plus,
+            "tl_minus": tl_minus,
+            "load_regulation": steady["load_regulation"],
+            "tv_plus": tv_plus,
+            "tv_minus": tv_minus,
+            "psrr": steady["psrr"],
+            "power": steady["power"],
             "simulation_failed": 0.0,
         }
+
+    def evaluate(self, sizing: Sizing) -> Dict[str, float]:
+        steady = self._steady_state(sizing)
+        if steady is None:
+            return self.failure_metrics()
+        op, metrics = steady
+        # 3) and 4) Load-step and supply-step transients (up then down).
+        load, supply = self.step_circuits(sizing)
+        load_tran = transient_analysis(load, self.TRAN_STOP, self.TRAN_STEP, initial_op=op)
+        supply_tran = transient_analysis(supply, self.TRAN_STOP, self.TRAN_STEP, initial_op=op)
+        return self._measure(metrics, load_tran, supply_tran)
+
+    def evaluate_stacked(self, sizings: Sequence[Sizing]) -> List[Dict[str, float]]:
+        """:meth:`evaluate` for a batch, with all settling transients in one solve.
+
+        DC and AC run per design; the load-step and supply-step rows of
+        every design whose DC converged then share one
+        :func:`~repro.spice.batch.transient.batch_transient_analysis`.
+        """
+        steady = [self._steady_state(sizing) for sizing in sizings]
+        solved = [index for index, result in enumerate(steady) if result is not None]
+        circuits, ops = [], []
+        for index in solved:
+            circuits.extend(self.step_circuits(sizings[index]))
+            ops.extend([steady[index][0]] * 2)
+        trans = (
+            batch_transient_analysis(circuits, ops, self.TRAN_STOP, self.TRAN_STEP)
+            if circuits
+            else []
+        )
+        metrics = [self.failure_metrics() for _ in sizings]
+        for position, index in enumerate(solved):
+            metrics[index] = self._measure(
+                steady[index][1], trans[2 * position], trans[2 * position + 1]
+            )
+        return metrics
 
     def expert_sizing(self) -> Sizing:
         """Hand-analysis reference design for the LDO."""

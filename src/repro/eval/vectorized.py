@@ -17,9 +17,12 @@ compatibility key — so a heterogeneous request stream becomes a few dense
 stacked solves instead of many sparse ones; results scatter back in request
 order.
 
-Circuits that publish no analysis plan (the LDO's transient-heavy
-evaluation) and buckets whose topology unexpectedly diverges fall back to
-the serial path per design (counted in ``stats.scalar_fallbacks``) — the
+Circuits without an analysis plan run through their
+:meth:`~repro.circuits.base.CircuitDesign.evaluate_stacked` hook instead:
+the LDO solves its DC and AC per design and stacks the settling transients
+of the whole chunk into one batched backward-Euler solve.  Circuits with
+neither path, and buckets whose topology unexpectedly diverges, fall back
+to the serial path per design (counted in ``stats.scalar_fallbacks``) — the
 backend is always *correct*, just not always faster.
 """
 
@@ -129,20 +132,32 @@ class VectorizedEvaluator(Evaluator):
             for sizing, metric in zip(sizings, metrics)
         ]
 
+    def _evaluate_stacked_chunk(
+        self, circuit: CircuitDesign, sizings: List[Sizing]
+    ) -> List[EvalResult]:
+        metrics = circuit.evaluate_stacked(sizings)
+        if metrics is None:
+            return self._serial_fallback(
+                circuit, sizings, "circuit publishes no analysis plan or stacked path"
+            )
+        return [
+            EvalResult(sizing=sizing, metrics=metric)
+            for sizing, metric in zip(sizings, metrics)
+        ]
+
     def _evaluate_bucket(
         self, circuit: CircuitDesign, sizings: Sequence[Sizing]
     ) -> List[EvalResult]:
         """Evaluate one topology bucket through stacked solves (chunked)."""
         sizings = list(sizings)
         plan = circuit.analysis_plan()
-        if plan is None:
-            return self._serial_fallback(
-                circuit, sizings, "circuit publishes no analysis plan"
-            )
         results: List[EvalResult] = []
         for offset in range(0, len(sizings), self.max_batch_size):
             chunk = sizings[offset : offset + self.max_batch_size]
-            results.extend(self._evaluate_chunk(circuit, chunk, plan))
+            if plan is None:
+                results.extend(self._evaluate_stacked_chunk(circuit, chunk))
+            else:
+                results.extend(self._evaluate_chunk(circuit, chunk, plan))
         return results
 
     def describe(self) -> str:

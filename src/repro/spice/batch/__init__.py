@@ -9,15 +9,18 @@ instead of one small solve per design per frequency.
 * :class:`BatchTemplate` — validates that a list of circuits share one
   topology and extracts per-design element value arrays.
 * :func:`batch_dc_operating_point` — batched Newton with per-design
-  convergence masks; designs the batched stage cannot converge fall back to
-  the scalar homotopy solver (gmin/source stepping) one by one.
+  convergence masks; designs the batched stage cannot converge go through
+  a masked gmin/source-stepping homotopy, still batched.
 * :func:`batch_ac_analysis` — one stacked complex solve over the full
   ``(designs, frequencies, n, n)`` tensor.
 * :func:`batch_noise_analysis` — batched adjoint solves (``A^T y = e_out``)
   over the same tensor, transposed.
+* :func:`batch_transient_analysis` — lockstep backward-Euler timesteps with
+  per-row Newton masks; rows may carry different source waveforms.
 
-All three return the *scalar* solution dataclasses (:class:`DCSolution`,
-:class:`ACSolution`, :class:`NoiseSolution`), so downstream measurement code
+All four return the *scalar* solution dataclasses (:class:`DCSolution`,
+:class:`ACSolution`, :class:`NoiseSolution`,
+:class:`TransientSolution`), so downstream measurement code
 is shared verbatim with the serial path — parity is structural, not
 re-implemented.
 """
@@ -27,6 +30,7 @@ from repro.spice.batch.dc import batch_dc_operating_point
 from repro.spice.batch.model import batch_small_signal_params
 from repro.spice.batch.noise import batch_noise_analysis
 from repro.spice.batch.template import BatchIncompatibleError, BatchTemplate
+from repro.spice.batch.transient import batch_transient_analysis
 
 __all__ = [
     "BatchTemplate",
@@ -34,5 +38,6 @@ __all__ = [
     "batch_dc_operating_point",
     "batch_ac_analysis",
     "batch_noise_analysis",
+    "batch_transient_analysis",
     "batch_small_signal_params",
 ]

@@ -53,6 +53,30 @@ class _CardGroup:
         self.weff = np.stack([g.weff for g in groups], axis=1)  # (B, G)
         self.length = np.stack([g.length for g in groups], axis=1)  # (B, G)
 
+    def bias(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Effective drain/source and model bias of every device at ``x``.
+
+        Drain and source swap where the polarity-normalised ``vds`` would be
+        negative, as in :meth:`repro.spice.elements.MOSFET._bias`.
+
+        Returns:
+            ``(nd, ns, vgs, vds, vsb)``, each of shape ``(K, G)``.
+        """
+        p = self.card.polarity
+        vd = _gather_nodes(x, self.drain)
+        vs = _gather_nodes(x, self.source)
+        swap = p * (vd - vs) < 0.0
+        nd = np.where(swap, self.source[None, :], self.drain[None, :])
+        ns = np.where(swap, self.drain[None, :], self.source[None, :])
+        vd_eff = np.where(swap, vs, vd)
+        vs_eff = np.where(swap, vd, vs)
+        vg = _gather_nodes(x, self.gate)
+        vb = _gather_nodes(x, self.bulk)
+        vgs = p * (vg - vs_eff)
+        vds = p * (vd_eff - vs_eff)
+        vsb = np.maximum(p * (vs_eff - vb), 0.0)
+        return nd, ns, vgs, vds, vsb
+
 
 def _gather_nodes(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """``x[:, nodes]`` with ground (-1) reading as 0; result ``(K, G)``."""
@@ -60,26 +84,41 @@ def _gather_nodes(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.where(nodes >= 0, values, 0.0)
 
 
-class _DCAssembler:
-    """Pre-stamped static system + fast per-iteration MOSFET assembly."""
+def stamp_conductance(matrix: np.ndarray, n1: int, n2: int, g: np.ndarray) -> None:
+    """Add a per-design conductance ``g`` ``(B,)`` between two fixed nodes."""
+    if n1 >= 0:
+        matrix[:, n1, n1] += g
+    if n2 >= 0:
+        matrix[:, n2, n2] += g
+    if n1 >= 0 and n2 >= 0:
+        matrix[:, n1, n2] -= g
+        matrix[:, n2, n1] -= g
 
-    def __init__(self, template: BatchTemplate, gmin: float, source_scale: float):
+
+class _DCAssembler:
+    """Pre-stamped static system + fast per-iteration MOSFET assembly.
+
+    With ``dt`` set, capacitors stamp their backward-Euler companion
+    conductance ``C/dt`` instead of the DC leak (the transient system).
+    """
+
+    def __init__(
+        self,
+        template: BatchTemplate,
+        gmin: float,
+        source_scale: float,
+        dt: Optional[float] = None,
+    ):
         self.template = template
         batch, n = template.batch_size, template.num_unknowns
         j_static = np.zeros((batch, n, n))
         b_static = np.zeros((batch, n))
 
-        leak = np.full(batch, CAP_DC_LEAK)
-        groups = [(g.n1, g.n2, g.g) for g in template.conductances]
-        groups += [(c.n1, c.n2, leak) for c in template.capacitors]
-        for n1, n2, g in groups:
-            if n1 >= 0:
-                j_static[:, n1, n1] += g
-            if n2 >= 0:
-                j_static[:, n2, n2] += g
-            if n1 >= 0 and n2 >= 0:
-                j_static[:, n1, n2] -= g
-                j_static[:, n2, n1] -= g
+        for group in template.conductances:
+            stamp_conductance(j_static, group.n1, group.n2, group.g)
+        for cap in template.capacitors:
+            g = np.full(batch, CAP_DC_LEAK) if dt is None else cap.c / dt
+            stamp_conductance(j_static, cap.n1, cap.n2, g)
 
         for source in template.vsources:
             np_, nm, b = source.n_plus, source.n_minus, source.branch
@@ -143,28 +182,33 @@ class _DCAssembler:
         Returns:
             ``(jacobian, residual)`` of shapes ``(K, n, n)`` and ``(K, n)``.
         """
-        count = x.shape[0]
         # Advanced indexing already yields a fresh array — safe to mutate.
         jacobian = self.j_static[subset]
         residual = (
             np.matmul(jacobian, x[:, :, None])[:, :, 0] + self.b_static[subset]
         )
+        self.stamp_mosfets(jacobian, residual, x, subset)
+        return jacobian, residual
 
+    def stamp_mosfets(
+        self,
+        jacobian: np.ndarray,
+        residual: np.ndarray,
+        x: np.ndarray,
+        subset: np.ndarray,
+    ) -> None:
+        """Add every MOSFET's drain current and conductances at ``x`` in place.
+
+        Args:
+            jacobian: ``(K, n, n)`` Jacobian of the active designs.
+            residual: ``(K, n)`` residual of the active designs.
+            x: Iterates of the active designs, shape ``(K, n)``.
+            subset: Indices of the active designs within the batch.
+        """
+        count = x.shape[0]
         for cg in self.card_groups:
             p = cg.card.polarity
-            vd = _gather_nodes(x, cg.drain)
-            vs = _gather_nodes(x, cg.source)
-            swap = p * (vd - vs) < 0.0
-            nd = np.where(swap, cg.source[None, :], cg.drain[None, :])  # (K, G)
-            ns = np.where(swap, cg.drain[None, :], cg.source[None, :])
-            vd_eff = np.where(swap, vs, vd)
-            vs_eff = np.where(swap, vd, vs)
-            vg = _gather_nodes(x, cg.gate)
-            vb = _gather_nodes(x, cg.bulk)
-            vgs = p * (vg - vs_eff)
-            vds = p * (vd_eff - vs_eff)
-            vsb = np.maximum(p * (vs_eff - vb), 0.0)
-
+            nd, ns, vgs, vds, vsb = cg.bias(x)
             params = batch_small_signal_params(
                 cg.card, cg.weff[subset], cg.length[subset], vgs, vds, vsb
             )
@@ -202,17 +246,21 @@ class _DCAssembler:
             keep = (rows >= 0) & (cols >= 0)
             np.add.at(jacobian, (bflat[keep], rows[keep], cols[keep]), vals[keep])
 
-        return jacobian, residual
 
+def solve_newton_step(
+    jacobian: np.ndarray, residual: np.ndarray, ridge: float = 1e-9
+) -> np.ndarray:
+    """Batched Newton step; a singular design falls back to least squares.
 
-def _solve_newton_step(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Batched Newton step; singular designs get the scalar regularized path."""
+    ``ridge`` is the diagonal the scalar solver adds before its least-squares
+    fallback: ``1e-9`` in DC, none in transient.
+    """
     try:
         return np.linalg.solve(jacobian, -residual[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     delta = np.empty_like(residual)
-    eye = np.eye(jacobian.shape[-1]) * 1e-9
+    eye = np.eye(jacobian.shape[-1]) * ridge
     for i in range(jacobian.shape[0]):
         try:
             delta[i] = np.linalg.solve(jacobian[i], -residual[i])
@@ -257,7 +305,7 @@ def batch_newton(
         if active.size == 0:
             break
         jacobian, residual = assembler.assemble(x[active], active)
-        step = _solve_newton_step(jacobian, residual)
+        step = solve_newton_step(jacobian, residual)
         node_step = step[:, :num_nodes]
         if num_nodes:
             biggest = np.max(np.abs(node_step), axis=1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import get_circuit
+from repro.circuits.two_tia import TwoStageTIA
 from repro.env import SizingEnvironment, default_fom_config
 from repro.technology import get_node
 
@@ -20,6 +21,24 @@ def tech_180():
 def two_tia(tech_180):
     """A Two-TIA circuit instance shared across tests (read-only usage)."""
     return get_circuit("two_tia", tech_180)
+
+
+class PlanlessTIA(TwoStageTIA):
+    """A Two-TIA that publishes neither an analysis plan nor a stacked path."""
+
+    name = "planless_tia"
+
+    def analysis_plan(self):
+        return None
+
+    def evaluate(self, sizing):
+        return TwoStageTIA(self.technology).evaluate(sizing)
+
+
+@pytest.fixture(scope="session")
+def planless_tia(tech_180):
+    """A circuit the vectorized engine can only evaluate serially."""
+    return PlanlessTIA(tech_180)
 
 
 @pytest.fixture(scope="session")

@@ -133,6 +133,32 @@ class TestEvaluation:
         expected = circuit.reference_voltage * (r1 + r2) / r2
         assert vout == pytest.approx(expected, rel=0.05)
 
+    def test_ldo_evaluate_solves_dc_twice(self, monkeypatch):
+        """Light- and heavy-load DC only: AC and both transients reuse the light op."""
+        import repro.circuits.ldo as ldo_module
+        import repro.spice.transient as transient_module
+
+        calls = []
+        original = ldo_module.dc_operating_point
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ldo_module, "dc_operating_point", counting)
+        monkeypatch.setattr(transient_module, "dc_operating_point", counting)
+        circuit = get_circuit("ldo")
+        metrics = circuit.evaluate(circuit.expert_sizing())
+        assert metrics["simulation_failed"] == 0.0
+        assert len(calls) == 2
+
+    def test_ldo_stacked_evaluation_matches_scalar_exactly(self):
+        circuit = get_circuit("ldo")
+        rng = np.random.default_rng(3)
+        sizings = [circuit.expert_sizing()] + [circuit.random_sizing(rng) for _ in range(4)]
+        stacked = circuit.evaluate_stacked(sizings)
+        assert stacked == [circuit.evaluate(sizing) for sizing in sizings]
+
     def test_wider_input_device_increases_two_tia_power(self, two_tia):
         base = two_tia.expert_sizing()
         metrics_base = two_tia.evaluate(base)

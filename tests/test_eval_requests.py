@@ -266,11 +266,23 @@ class TestBatchedHomotopy:
         assert len(results) == len(requests)
         assert evaluator.stats.scalar_fallbacks == 0
 
-    def test_planless_circuit_counts_scalar_fallbacks(self):
-        ldo = get_circuit("ldo")
-        assert ldo.analysis_plan() is None
-        evaluator = VectorizedEvaluator()
+    def test_planless_circuit_counts_scalar_fallbacks(self, planless_tia):
+        assert planless_tia.analysis_plan() is None
+        evaluator = VectorizedEvaluator(planless_tia)
         evaluator.evaluate_requests(
-            [EvalRequest("ldo", "180nm", ldo.expert_sizing())]
+            [EvalRequest("planless_tia", "180nm", planless_tia.expert_sizing())]
         )
         assert evaluator.stats.scalar_fallbacks == 1
+
+    def test_ldo_buckets_take_zero_scalar_fallbacks(self, two_tia):
+        ldo = get_circuit("ldo")
+        evaluator = VectorizedEvaluator()
+        results = evaluator.evaluate_requests(
+            [
+                EvalRequest("ldo", "180nm", ldo.expert_sizing()),
+                EvalRequest("two_tia", "180nm", two_tia.expert_sizing()),
+                EvalRequest("ldo", "180nm", ldo.expert_sizing()),
+            ]
+        )
+        assert results[0].metrics == results[2].metrics == ldo.evaluate(ldo.expert_sizing())
+        assert evaluator.stats.scalar_fallbacks == 0

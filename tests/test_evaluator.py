@@ -255,13 +255,26 @@ class TestVectorizedEvaluator:
             for key in a.metrics:
                 assert a.metrics[key] == pytest.approx(b.metrics[key], rel=1e-9)
 
-    def test_planless_circuit_falls_back_to_serial(self):
+    def test_planless_circuit_falls_back_to_serial(self, planless_tia):
+        circuit = planless_tia
+        assert circuit.analysis_plan() is None
+        sizing = circuit.expert_sizing()
+        evaluator = VectorizedEvaluator(circuit)
+        vectorized = evaluator.evaluate_batch([sizing])
+        local = LocalEvaluator(circuit).evaluate_batch([sizing])
+        assert vectorized[0].metrics == local[0].metrics  # exact: same code path
+        assert evaluator.stats.scalar_fallbacks == 1
+
+    def test_ldo_takes_the_stacked_path(self):
         ldo = get_circuit("ldo")
         assert ldo.analysis_plan() is None
-        sizing = ldo.expert_sizing()
-        vectorized = VectorizedEvaluator(ldo).evaluate_batch([sizing])
-        local = LocalEvaluator(ldo).evaluate_batch([sizing])
-        assert vectorized[0].metrics == local[0].metrics  # exact: same code path
+        rng = np.random.default_rng(4)
+        sizings = [ldo.expert_sizing(), ldo.random_sizing(rng), ldo.random_sizing(rng)]
+        evaluator = VectorizedEvaluator(ldo, max_batch_size=2)
+        vectorized = evaluator.evaluate_batch(sizings)
+        local = LocalEvaluator(ldo).evaluate_batch(sizings)
+        assert [r.metrics for r in vectorized] == [r.metrics for r in local]
+        assert evaluator.stats.scalar_fallbacks == 0
 
     def test_failed_designs_report_failure_metrics(self, two_tia, monkeypatch):
         """Designs the DC stage cannot converge must yield failure metrics."""
