@@ -5,7 +5,7 @@ through the same time grid in lockstep.  Each timestep is a masked Newton
 solve that mirrors the scalar :func:`repro.spice.transient.transient_analysis`
 exactly: it starts from the previous solution, stops a row as soon as that
 row meets its tolerances (the voltage test uses the *undamped* node step,
-the update is damped to ``max_step``), and a row that exhausts its
+the update is damped to ``MAX_STEP``), and a row that exhausts its
 iterations keeps going from its last iterate but loses its ``converged``
 flag.  Rows may carry different stimuli: source waveforms are read from
 each row's own circuit.
@@ -19,7 +19,7 @@ previous solution, as the scalar engine does.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,6 +33,16 @@ from repro.spice.transient import TransientSolution
 
 #: Diagonal node conductance of the transient system (the scalar engine's).
 TRANSIENT_GMIN = 1e-12
+# Per-timestep Newton settings; these mirror the defaults of the scalar
+# :func:`repro.spice.transient.transient_analysis`.
+#: Newton iterations per timestep.
+MAX_ITERATIONS = 60
+#: Residual-current tolerance [A].
+ABSTOL = 1e-8
+#: Voltage-update tolerance [V].
+VTOL = 1e-6
+#: Per-iteration node-voltage step limit [V].
+MAX_STEP = 0.5
 
 
 def _source_vectors(template: BatchTemplate, times: np.ndarray) -> np.ndarray:
@@ -102,11 +112,6 @@ def batch_transient_analysis(
     initial_ops: Sequence[DCSolution],
     t_stop: float,
     dt: float,
-    template: Optional[BatchTemplate] = None,
-    max_iterations: int = 60,
-    abstol: float = 1e-8,
-    vtol: float = 1e-6,
-    max_step: float = 0.5,
 ) -> List[TransientSolution]:
     """Integrate a batch of same-topology circuits from their operating points.
 
@@ -121,15 +126,9 @@ def batch_transient_analysis(
             flag seeds the row's).
         t_stop: End time [s].
         dt: Fixed timestep [s].
-        template: Pre-built template of ``circuits`` (built if omitted).
-        max_iterations: Newton iterations per timestep.
-        abstol: Residual-current tolerance [A].
-        vtol: Voltage-update tolerance [V].
-        max_step: Per-iteration node-voltage step limit [V].
     """
     circuits = list(circuits)
-    if template is None:
-        template = BatchTemplate(circuits)
+    template = BatchTemplate(circuits)
     num_steps = max(int(round(t_stop / dt)), 1)
     times = np.linspace(0.0, num_steps * dt, num_steps + 1)
     batch, num_nodes = template.batch_size, template.num_nodes
@@ -157,7 +156,7 @@ def batch_transient_analysis(
 
         x = x_prev.copy()
         done = diverged.copy()
-        for _ in range(max_iterations):
+        for _ in range(MAX_ITERATIONS):
             active = np.flatnonzero(~done)
             if active.size == 0:
                 break
@@ -168,13 +167,13 @@ def batch_transient_analysis(
             delta = solve_newton_step(jacobian, residual, ridge=0.0)
             node_step = delta[:, :num_nodes]
             biggest = np.max(np.abs(node_step), axis=1)
-            scale = np.where(biggest > max_step, max_step / np.maximum(biggest, 1e-300), 1.0)
+            scale = np.where(biggest > MAX_STEP, MAX_STEP / np.maximum(biggest, 1e-300), 1.0)
             node_step *= scale[:, None]
             x[active] += delta
             finite = np.isfinite(x[active]).all(axis=1)
             diverged[active[~finite]] = True
             res_norm = np.max(np.abs(residual), axis=1)
-            done[active] = ((res_norm < abstol) & (biggest < vtol)) | ~finite
+            done[active] = ((res_norm < ABSTOL) & (biggest < VTOL)) | ~finite
         converged &= done & ~diverged
         solutions[:, step] = x
         x_prev = x

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.circuits import get_circuit
 from repro.spice import MOSFET, Capacitor, Circuit, CurrentSource, Resistor, VoltageSource
+from repro.spice.batch import transient as batch_transient
 from repro.spice.batch.transient import batch_transient_analysis
 from repro.spice.dc import dc_operating_point
 from repro.spice.transient import pulse_waveform, step_waveform, transient_analysis
@@ -89,11 +90,12 @@ def test_mixed_waveform_ldo_batch_matches_scalar():
     assert_parity(circuits, ldo.TRAN_STOP, ldo.TRAN_STEP)
 
 
-def test_non_converging_row_loses_only_its_flag():
+def test_non_converging_row_loses_only_its_flag(monkeypatch):
     circuits = [rc_step(1e3, 1e-9, 1.0), rc_step(1e3, 1e-9, 1.0)]
     ops = [dc_operating_point(circuit) for circuit in circuits]
     # One Newton iteration per step cannot also pass the step test.
-    strict = batch_transient_analysis(circuits, ops, 1e-6, 1e-7, max_iterations=1)
+    monkeypatch.setattr(batch_transient, "MAX_ITERATIONS", 1)
+    strict = batch_transient_analysis(circuits, ops, 1e-6, 1e-7)
     reference = transient_analysis(circuits[0], 1e-6, 1e-7, initial_op=ops[0], max_iterations=1)
     assert [solution.converged for solution in strict] == [reference.converged] * 2
     assert not reference.converged
