@@ -95,6 +95,10 @@ def record_backend(
         report["mixed_workload_speedup_over_serial"] = round(
             mixed / mixed_serial, 2
         )
+    ldo_serial = report["backends"].get("ldo_serial", {}).get("designs_per_sec")
+    ldo = report["backends"].get("ldo_vectorized", {}).get("designs_per_sec")
+    if ldo_serial and ldo:
+        report["ldo_speedup_over_serial"] = round(ldo / ldo_serial, 2)
     rl_loop = report["backends"].get("rl_update_loop", {}).get("designs_per_sec")
     rl_batched = report["backends"].get("rl_update_batched", {}).get(
         "designs_per_sec"

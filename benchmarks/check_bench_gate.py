@@ -12,6 +12,11 @@ fails (exit code 1) when any of:
   reference by ``--min-mixed-speedup`` (default 3x), or any design of the
   mix left the vectorized fast path (``scalar_fallback_designs`` must be 0
   — the batched homotopy retires the per-design scalar bail-out),
+* the LDO's stacked path (stacked DC and settling transients over one
+  13-design chunk) does not beat serial LDO evaluation by
+  ``--min-ldo-speedup`` (default 3x; stacking only the transients, with
+  one DC solve per design, measured 1.6–2.3x, the stacked DC 3.8–4.5x),
+  or any design of the chunk fell back to the scalar path,
 * the batched RL critic update does not beat the per-sample update loop by
   ``--min-rl-speedup`` (default 3x designs-trained/sec at batch size 48),
 * the optimization service's cross-client batch coalescing averages fewer
@@ -24,7 +29,7 @@ fails (exit code 1) when any of:
   report's machine has more than one CPU core — two workers time-slicing
   a single core cannot beat serial, so the number is recorded there,
   not gated), or
-* vectorized / batched-RL throughput regressed below
+* vectorized / LDO-stacked / batched-RL throughput regressed below
   ``--regression-factor`` times the committed baseline
   (``benchmarks/BENCH_evaluator.json``).  The factor is deliberately
   generous because absolute rates vary across runner hardware; the speedup
@@ -32,8 +37,8 @@ fails (exit code 1) when any of:
 
 Usage:
     python benchmarks/check_bench_gate.py REPORT [--baseline BASELINE]
-        [--min-speedup 3.0] [--min-mixed-speedup 3.0] [--min-rl-speedup 3.0]
-        [--min-coalescing 2.0] [--min-campaign-speedup 1.5]
+        [--min-speedup 3.0] [--min-mixed-speedup 3.0] [--min-ldo-speedup 3.0]
+        [--min-rl-speedup 3.0] [--min-coalescing 2.0] [--min-campaign-speedup 1.5]
         [--regression-factor 0.5]
 """
 
@@ -60,6 +65,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--min-speedup", type=float, default=3.0)
     parser.add_argument("--min-mixed-speedup", type=float, default=3.0)
+    parser.add_argument("--min-ldo-speedup", type=float, default=3.0)
     parser.add_argument("--min-rl-speedup", type=float, default=3.0)
     parser.add_argument("--min-coalescing", type=float, default=2.0)
     parser.add_argument("--min-campaign-speedup", type=float, default=1.5)
@@ -129,6 +135,32 @@ def main(argv=None) -> int:
                 f"mixed-workload speedup {mixed_speedup:.2f}x is below the "
                 f"acceptance margin of {args.min_mixed_speedup:.1f}x over "
                 "serial"
+            )
+
+    ldo_serial = backends.get("ldo_serial", {}).get("designs_per_sec")
+    ldo_entry = backends.get("ldo_vectorized", {})
+    ldo = ldo_entry.get("designs_per_sec")
+    if not ldo_serial or not ldo:
+        failures.append(
+            "report is missing ldo_serial and/or ldo_vectorized throughput "
+            f"(backends present: {sorted(backends)})"
+        )
+    else:
+        ldo_fallbacks = ldo_entry.get("scalar_fallback_designs")
+        if ldo_fallbacks != 0:
+            failures.append(
+                f"LDO chunk pushed {ldo_fallbacks} design(s) onto the scalar "
+                "fallback path; its stacked path must cover all"
+            )
+        ldo_speedup = ldo / ldo_serial
+        print(
+            f"ldo serial={ldo_serial:.1f}/s vectorized={ldo:.1f}/s "
+            f"speedup={ldo_speedup:.2f}x (required: {args.min_ldo_speedup:.1f}x)"
+        )
+        if ldo_speedup < args.min_ldo_speedup:
+            failures.append(
+                f"LDO stacked speedup {ldo_speedup:.2f}x is below the "
+                f"acceptance margin of {args.min_ldo_speedup:.1f}x over serial"
             )
 
     rl_loop = backends.get("rl_update_loop", {}).get("designs_per_sec")
@@ -216,6 +248,7 @@ def main(argv=None) -> int:
 
     for backend_name, measured in (
         ("vectorized", vectorized),
+        ("ldo_vectorized", ldo),
         ("rl_update_batched", rl_batched),
     ):
         if not measured:

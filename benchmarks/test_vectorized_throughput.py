@@ -5,7 +5,9 @@ a 32-design Two-TIA batch; this module measures both paths on identical
 batches, verifies the results agree, and records the rates into
 ``BENCH_evaluator.json`` (see ``bench_report.py``).  The hard >= 3x gate is
 enforced by ``check_bench_gate.py`` in CI — the in-test assertion uses a
-lower bar so a noisy machine cannot flake the test suite itself.
+lower bar so a noisy machine cannot flake the test suite itself.  The LDO,
+which has no analysis plan, is measured on its own stacked path (gated at
+>= 3x serial).
 
 Raise ``REPRO_BENCH_VEC_DESIGNS`` to stress larger batches.
 """
@@ -31,6 +33,8 @@ pytestmark = pytest.mark.slow
 NUM_DESIGNS = _bench_int("REPRO_BENCH_VEC_DESIGNS", 32)
 #: In-test sanity bar (the CI gate enforces the real 3x acceptance margin).
 MIN_SPEEDUP_IN_TEST = 1.5
+#: LDO chunk size: one ES generation, as in the ``ldo_es`` workload.
+LDO_DESIGNS = 13
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +48,15 @@ def batch(circuit):
     return [circuit.random_sizing(rng) for _ in range(NUM_DESIGNS)]
 
 
-def _rate(evaluator, batch):
+def _rate(evaluator, batch, repeats=1):
+    """Designs/sec of the fastest of ``repeats`` timed runs, after a warm-up."""
     evaluator.evaluate_batch(batch[: min(4, len(batch))])  # warm-up
-    start = time.perf_counter()
-    results = evaluator.evaluate_batch(batch)
-    elapsed = time.perf_counter() - start
-    return len(batch) / max(elapsed, 1e-9), results
+    elapsed = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        results = evaluator.evaluate_batch(batch)
+        elapsed.append(time.perf_counter() - start)
+    return len(batch) / max(min(elapsed), 1e-9), results
 
 
 def test_vectorized_vs_serial_throughput(circuit, batch, capsys):
@@ -137,6 +144,43 @@ def test_mixed_workload_throughput(capsys):
         )
     assert vectorized.stats.scalar_fallbacks == 0
     assert speedup > MIN_SPEEDUP_IN_TEST
+
+
+def test_ldo_stacked_vs_serial_throughput(capsys):
+    """The LDO's stacked path against serial evaluation, on one ES chunk.
+
+    The vectorized backend solves the chunk's light- and heavy-load
+    operating points in one scalar-exact stacked DC and its settling
+    transients in one batched solve, so its metrics must equal the serial
+    ones exactly.  ``check_bench_gate.py --min-ldo-speedup`` gates the rate
+    ratio: falling back to one DC solve per design fails CI.
+    """
+    ldo = get_circuit("ldo")
+    rng = np.random.default_rng(21)
+    chunk = [ldo.random_sizing(rng) for _ in range(LDO_DESIGNS)]
+    # Best of three: one timed chunk is short enough for noise to matter.
+    serial_rate, serial_results = _rate(LocalEvaluator(ldo), chunk, repeats=3)
+    vectorized = VectorizedEvaluator(ldo)
+    vectorized_rate, vectorized_results = _rate(vectorized, chunk, repeats=3)
+    speedup = vectorized_rate / serial_rate
+
+    assert [r.metrics for r in vectorized_results] == [r.metrics for r in serial_results]
+    record_backend("ldo_serial", serial_rate, LDO_DESIGNS, circuit="ldo")
+    record_backend(
+        "ldo_vectorized",
+        vectorized_rate,
+        LDO_DESIGNS,
+        circuit="ldo",
+        extra={"scalar_fallback_designs": vectorized.stats.scalar_fallbacks},
+    )
+    with capsys.disabled():
+        print(
+            f"\n[ldo-throughput] designs={LDO_DESIGNS} "
+            f"serial={serial_rate:.1f}/s vectorized={vectorized_rate:.1f}/s "
+            f"speedup={speedup:.2f}x"
+        )
+    assert vectorized.stats.scalar_fallbacks == 0
+    assert speedup > 1.0
 
 
 def test_vectorized_scales_with_batch_size(circuit, batch):

@@ -9,6 +9,12 @@ times; DC sweeps give the load regulation and an AC analysis gives the PSRR.
 Metrics (paper Section IV-A, LDO column of Table I): settling time after a
 load increase / decrease (TL+/TL-), load regulation, settling time after a
 supply increase / decrease (TV+/TV-), PSRR, and power.
+
+:meth:`LowDropoutRegulator.evaluate` solves one design on the scalar
+engine; :meth:`LowDropoutRegulator.evaluate_stacked` solves a whole batch
+with the same numbers: one scalar-exact stacked DC for every light- and
+heavy-load operating point, the PSRR AC per design, and one batched solve
+for every settling transient.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.circuits.components import (
 from repro.circuits.parameters import Sizing
 from repro.spice import measurements as meas
 from repro.spice.ac import ac_analysis, logspace_frequencies
+from repro.spice.batch.dc import stacked_dc_operating_point
 from repro.spice.batch.transient import batch_transient_analysis
 from repro.spice.circuit import Circuit
 from repro.spice.dc import DCSolution, dc_operating_point
@@ -132,18 +139,21 @@ class LowDropoutRegulator(CircuitDesign):
         add_sized_components(circuit, self.components, sizing, tech)
         return circuit
 
-    def _steady_state(self, sizing: Sizing) -> Optional[Tuple[DCSolution, Dict[str, float]]]:
-        """DC at light and heavy load plus the PSRR sweep of one sizing.
+    def dc_circuits(self, sizing: Sizing) -> Tuple[Circuit, Circuit]:
+        """The light-load and heavy-load DC netlists of one sizing."""
+        return (
+            self.build_circuit(sizing, load_current=self.LOAD_LIGHT),
+            self.build_circuit(sizing, load_current=self.LOAD_HEAVY),
+        )
 
-        Returns the light-load operating point (the transients start from
-        it) with the regulation, PSRR and power metrics, or ``None`` when a
-        DC solve fails.
+    def _steady_state(
+        self, sizing: Sizing, op_light: DCSolution, op_heavy: DCSolution
+    ) -> Optional[Dict[str, float]]:
+        """Regulation, power and the PSRR sweep from the two operating points.
+
+        Returns ``None`` when either DC solve failed.
         """
-        # 1) DC at light and heavy load: regulation, power, operating point.
-        light = self.build_circuit(sizing, load_current=self.LOAD_LIGHT)
-        op_light = dc_operating_point(light)
-        heavy = self.build_circuit(sizing, load_current=self.LOAD_HEAVY)
-        op_heavy = dc_operating_point(heavy)
+        # 1) DC at light and heavy load: regulation and power.
         if not (op_light.converged and op_heavy.converged):
             return None
 
@@ -171,7 +181,7 @@ class LowDropoutRegulator(CircuitDesign):
         psrr_db = -20.0 * math.log10(
             max(float(abs(supply_gain[0])), 1e-9)
         )
-        return op_light, {
+        return {
             "load_regulation": regulation_mv_ma,
             "psrr": psrr_db,
             "power": power,
@@ -248,38 +258,48 @@ class LowDropoutRegulator(CircuitDesign):
         }
 
     def evaluate(self, sizing: Sizing) -> Dict[str, float]:
-        steady = self._steady_state(sizing)
+        light, heavy = self.dc_circuits(sizing)
+        op = dc_operating_point(light)
+        steady = self._steady_state(sizing, op, dc_operating_point(heavy))
         if steady is None:
             return self.failure_metrics()
-        op, metrics = steady
         # 3) and 4) Load-step and supply-step transients (up then down).
         load, supply = self.step_circuits(sizing)
         load_tran = transient_analysis(load, self.TRAN_STOP, self.TRAN_STEP, initial_op=op)
         supply_tran = transient_analysis(supply, self.TRAN_STOP, self.TRAN_STEP, initial_op=op)
-        return self._measure(metrics, load_tran, supply_tran)
+        return self._measure(steady, load_tran, supply_tran)
 
     def evaluate_stacked(self, sizings: Sequence[Sizing]) -> List[Dict[str, float]]:
-        """:meth:`evaluate` for a batch, with all settling transients in one solve.
+        """:meth:`evaluate` for a batch: stacked DC and stacked transients.
 
-        DC and AC run per design; the load-step and supply-step rows of
-        every design whose DC converged then share one
-        :func:`~repro.spice.batch.transient.batch_transient_analysis`.
+        The light-load and heavy-load operating points of every design share
+        one :func:`~repro.spice.batch.dc.stacked_dc_operating_point` (bit
+        for bit the scalar solves), the PSRR AC runs per design, and the
+        load-step and supply-step rows of every design whose DC converged
+        share one :func:`~repro.spice.batch.transient.batch_transient_analysis`.
         """
-        steady = [self._steady_state(sizing) for sizing in sizings]
+        ops = stacked_dc_operating_point(
+            [circuit for sizing in sizings for circuit in self.dc_circuits(sizing)]
+        )
+        light_ops = ops[0::2]
+        steady = [
+            self._steady_state(sizing, light, heavy)
+            for sizing, light, heavy in zip(sizings, light_ops, ops[1::2])
+        ]
         solved = [index for index, result in enumerate(steady) if result is not None]
-        circuits, ops = [], []
+        circuits, initial_ops = [], []
         for index in solved:
             circuits.extend(self.step_circuits(sizings[index]))
-            ops.extend([steady[index][0]] * 2)
+            initial_ops.extend([light_ops[index]] * 2)
         trans = (
-            batch_transient_analysis(circuits, ops, self.TRAN_STOP, self.TRAN_STEP)
+            batch_transient_analysis(circuits, initial_ops, self.TRAN_STOP, self.TRAN_STEP)
             if circuits
             else []
         )
         metrics = [self.failure_metrics() for _ in sizings]
         for position, index in enumerate(solved):
             metrics[index] = self._measure(
-                steady[index][1], trans[2 * position], trans[2 * position + 1]
+                steady[index], trans[2 * position], trans[2 * position + 1]
             )
         return metrics
 

@@ -19,11 +19,14 @@ order.
 
 Circuits without an analysis plan run through their
 :meth:`~repro.circuits.base.CircuitDesign.evaluate_stacked` hook instead:
-the LDO solves its DC and AC per design and stacks the settling transients
-of the whole chunk into one batched backward-Euler solve.  Circuits with
-neither path, and buckets whose topology unexpectedly diverges, fall back
-to the serial path per design (counted in ``stats.scalar_fallbacks``) — the
-backend is always *correct*, just not always faster.
+the LDO solves the light- and heavy-load operating points of the whole
+chunk in one scalar-exact stacked DC
+(:func:`~repro.spice.batch.stacked_dc_operating_point`), runs its PSRR AC
+per design, and stacks the settling transients into one batched
+backward-Euler solve — its metrics equal the serial ones exactly.  Circuits
+with neither path, and buckets whose topology unexpectedly diverges, fall
+back to the serial path per design (counted in ``stats.scalar_fallbacks``)
+— the backend is always *correct*, just not always faster.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ but real modified-nodal-analysis (MNA) simulator:
 * **Transient analysis** — backward-Euler integration with a Newton solve per
   timestep (used for LDO settling-time measurements).
 * **Batch engine** (:mod:`repro.spice.batch`) — vectorized MNA over whole
-  populations of one topology: batched-Newton DC, one stacked complex solve
-  for the full (designs × frequencies) AC grid and batched adjoint noise.
+  populations of one topology: batched-Newton DC (including a scalar-exact
+  variant, bit-identical to the DC solver above, that the LDO uses), one
+  stacked complex solve for the full (designs × frequencies) AC grid,
+  batched adjoint noise and lockstep batched transients.
 * **Measurements** — gain, -3dB bandwidth, GBW, phase margin, peaking, PSRR,
   settling time, load/line regulation and integrated noise helpers.
 

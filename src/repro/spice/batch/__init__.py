@@ -10,7 +10,11 @@ instead of one small solve per design per frequency.
   topology and extracts per-design element value arrays.
 * :func:`batch_dc_operating_point` — batched Newton with per-design
   convergence masks; designs the batched stage cannot converge go through
-  a masked gmin/source-stepping homotopy, still batched.
+  a masked gmin/source-stepping homotopy, still batched.  Agrees with the
+  scalar solver to solver precision (the plan circuits' DC).
+* :func:`stacked_dc_operating_point` — the same solver with every row
+  assembled in the scalar stamping order: bit-identical to the scalar
+  :func:`~repro.spice.dc.dc_operating_point` (the LDO's DC).
 * :func:`batch_ac_analysis` — one stacked complex solve over the full
   ``(designs, frequencies, n, n)`` tensor.
 * :func:`batch_noise_analysis` — batched adjoint solves (``A^T y = e_out``)
@@ -26,7 +30,7 @@ re-implemented.
 """
 
 from repro.spice.batch.ac import batch_ac_analysis
-from repro.spice.batch.dc import batch_dc_operating_point
+from repro.spice.batch.dc import batch_dc_operating_point, stacked_dc_operating_point
 from repro.spice.batch.model import batch_small_signal_params
 from repro.spice.batch.noise import batch_noise_analysis
 from repro.spice.batch.template import BatchIncompatibleError, BatchTemplate
@@ -36,6 +40,7 @@ __all__ = [
     "BatchTemplate",
     "BatchIncompatibleError",
     "batch_dc_operating_point",
+    "stacked_dc_operating_point",
     "batch_ac_analysis",
     "batch_noise_analysis",
     "batch_transient_analysis",

@@ -10,7 +10,8 @@ DC/AC/noise engines stamp from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -98,6 +99,20 @@ class _MOSFETGroup:
     bulk: int
     weff: np.ndarray  # (B,) width * multiplier
     length: np.ndarray  # (B,)
+
+
+#: The per-element group lists of a :class:`BatchTemplate`.
+_GROUP_LISTS = ("conductances", "capacitors", "vsources", "isources", "vcvs", "mosfets")
+
+
+def _take_rows(group, rows: np.ndarray):
+    """A copy of ``group`` whose ``(B,)`` value arrays keep only ``rows``."""
+    arrays = {
+        f.name: getattr(group, f.name)[rows]
+        for f in fields(group)
+        if isinstance(getattr(group, f.name), np.ndarray)
+    }
+    return replace(group, **arrays)
 
 
 @dataclass
@@ -246,5 +261,14 @@ class BatchTemplate:
         return stacked.max(axis=0)
 
     def subset(self, indices: Sequence[int]) -> "BatchTemplate":
-        """A new template restricted to ``indices`` (cheap re-extraction)."""
-        return BatchTemplate([self.circuits[i] for i in indices])
+        """A new template restricted to ``indices``.
+
+        Slices this template's already-validated value arrays instead of
+        re-checking and re-extracting the circuits.
+        """
+        rows = np.asarray(indices, dtype=int)
+        sub = copy.copy(self)
+        sub.circuits = [self.circuits[i] for i in rows]
+        for name in _GROUP_LISTS:
+            setattr(sub, name, [_take_rows(group, rows) for group in getattr(self, name)])
+        return sub

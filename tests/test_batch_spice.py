@@ -16,6 +16,7 @@ from repro.spice.batch import (
     batch_noise_analysis,
     batch_small_signal_params,
 )
+from repro.spice.batch.model import batch_dc_params, stack_cards
 from repro.spice.dc import dc_operating_point
 from repro.spice.elements import Resistor
 from repro.spice.noise import noise_analysis
@@ -55,6 +56,26 @@ class TestVectorizedModel:
                 ), f"{attr} mismatch at sample {i} ({scalar.region})"
         assert regions == {"cutoff", "triode", "saturation"}
 
+    def test_libm_exp_dc_params_bit_identical_to_scalar(self, tech_180):
+        """NMOS and PMOS in one call (stacked cards), exact to the last bit."""
+        cards = [tech_180.nmos, tech_180.pmos]
+        rng = np.random.default_rng(1)
+        shape = (128, 2)
+        width = rng.uniform(0.2e-6, 100e-6, shape)
+        length = rng.uniform(0.18e-6, 2e-6, shape)
+        vgs = rng.uniform(-0.5, 1.8, shape)
+        vds = rng.uniform(-0.2, 1.8, shape)
+        vsb = rng.uniform(0.0, 0.9, shape)
+        ids, gm, gds, in_cutoff, _ = batch_dc_params(
+            stack_cards(cards), width, length, vgs, vds, vsb, libm_exp=True
+        )
+        assert in_cutoff.any() and not in_cutoff.all()
+        for i in range(shape[0]):
+            for j, card in enumerate(cards):
+                args = (width[i, j], length[i, j], vgs[i, j], vds[i, j], vsb[i, j])
+                scalar = small_signal_params(card, *args)
+                assert (ids[i, j], gm[i, j], gds[i, j]) == (scalar.ids, scalar.gm, scalar.gds)
+
 
 class TestBatchTemplate:
     def test_rejects_mismatched_topologies(self, two_tia):
@@ -73,6 +94,27 @@ class TestBatchTemplate:
         sub = template.subset([0, 3])
         assert sub.batch_size == 2
         assert sub.num_unknowns == template.num_unknowns
+
+    def test_subset_slices_values_without_re_extraction(self, two_tia, monkeypatch):
+        """A subset equals a fresh template of its circuits, bit for bit."""
+        _, circuits = _random_circuits(two_tia, 5)
+        template = BatchTemplate(circuits)
+        fresh = BatchTemplate([circuits[i] for i in (4, 1, 2)])
+
+        def never(self):
+            raise AssertionError("subset must not re-validate or re-extract")
+
+        monkeypatch.setattr(BatchTemplate, "_check_compatible", never)
+        monkeypatch.setattr(BatchTemplate, "_extract_values", never)
+        sub = template.subset([4, 1, 2])
+        assert sub.circuits == fresh.circuits
+        for name in ("conductances", "capacitors", "vsources", "isources", "vcvs", "mosfets"):
+            for got, expected in zip(getattr(sub, name), getattr(fresh, name)):
+                for key, value in vars(expected).items():
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(vars(got)[key], value)
+                    else:
+                        assert vars(got)[key] == value
 
 
 class TestBatchDC:
@@ -97,8 +139,8 @@ class TestBatchDC:
                 assert got.gm == expected.gm
                 assert got.ids == expected.ids
 
-    def test_unconverged_designs_use_scalar_fallback(self, two_tia):
-        """With a 1-iteration budget every design exercises the fallback path."""
+    def test_unconverged_designs_take_the_batched_homotopy(self, two_tia):
+        """With a 1-iteration budget every design goes through the masked homotopy."""
         sizings, circuits = _random_circuits(two_tia, 3)
         batch_ops = batch_dc_operating_point(circuits, max_iterations=1)
         for sizing, batch_op in zip(sizings, batch_ops):

@@ -159,6 +159,40 @@ class TestEvaluation:
         stacked = circuit.evaluate_stacked(sizings)
         assert stacked == [circuit.evaluate(sizing) for sizing in sizings]
 
+    def test_ldo_evaluate_stacked_makes_no_scalar_dc_calls(self, monkeypatch):
+        """The light/heavy operating points of the whole batch are one stacked solve."""
+        import repro.circuits.ldo as ldo_module
+        import repro.spice.transient as transient_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            raise AssertionError("evaluate_stacked must not solve DC per design")
+
+        monkeypatch.setattr(ldo_module, "dc_operating_point", counting)
+        monkeypatch.setattr(transient_module, "dc_operating_point", counting)
+        circuit = get_circuit("ldo")
+        rng = np.random.default_rng(5)
+        sizings = [circuit.expert_sizing()] + [circuit.random_sizing(rng) for _ in range(2)]
+        metrics = circuit.evaluate_stacked(sizings)
+        assert metrics[0]["simulation_failed"] == 0.0
+        assert calls == []
+
+    def test_ldo_metrics_do_not_depend_on_the_batch(self):
+        """A design alone and inside a 13-design chunk gets the same metrics."""
+        circuit = get_circuit("ldo", "45nm")
+        space = circuit.parameter_space
+        rng = np.random.default_rng(8)
+        sizings = [circuit.random_sizing(rng) for _ in range(11)]
+        sizings.append(circuit.expert_sizing())
+        sizings.append(space.vector_to_sizing([d.lower for d in space.definitions]))
+        chunk = circuit.evaluate_stacked(sizings)
+        assert any(m["simulation_failed"] for m in chunk)
+        assert not all(m["simulation_failed"] for m in chunk)
+        for index in (0, 5, 11, 12):
+            assert circuit.evaluate_stacked([sizings[index]]) == [chunk[index]]
+
     def test_wider_input_device_increases_two_tia_power(self, two_tia):
         base = two_tia.expert_sizing()
         metrics_base = two_tia.evaluate(base)

@@ -3,8 +3,8 @@
 ``golden/ldo_<node>.json`` holds, per calibrated LDO technology node, the
 metrics of the expert design and of a few random sizings as the scalar
 engine computed them when the fixture was recorded.  ``local`` evaluation
-must reproduce them exactly, and the ``vectorized`` backend (stacked
-settling transients) must give a bit-identical FoM.
+must reproduce them exactly, and so must the ``vectorized`` backend
+(scalar-exact stacked DC and stacked settling transients), FoM included.
 
 Regenerate after a deliberate numerical change with::
 
@@ -86,6 +86,7 @@ def test_vectorized_fom_bit_identical_to_fixture(node):
     results = evaluator.evaluate_batch(sizings)
     assert evaluator.stats.scalar_fallbacks == 0
     for entry, result in zip(fixture["designs"], results):
+        assert result.metrics == entry["metrics"]
         assert fom.compute(result.metrics) == fom.compute(entry["metrics"])
 
 
