@@ -1,7 +1,7 @@
 """Throughput benchmark: serial campaign sweep vs a 2-worker cluster sweep.
 
-Runs the same small method grid twice against fresh jsonl stores — once
-with the in-process serial ``Campaign.run()`` loop and once through
+Runs the same small method grid twice against fresh stores — once with the
+in-process serial ``Campaign.run()`` loop and once through
 ``Campaign.run(workers=2)`` (two ``repro.experiments worker`` subprocesses
 coordinating over leases) — and records both rates as the
 ``campaign_serial`` / ``campaign_workers`` backends in
@@ -9,12 +9,13 @@ coordinating over leases) — and records both rates as the
 ``campaign_parallel_speedup`` from the pair.
 
 The correctness bar is unconditional: the cluster sweep must record
-**zero duplicated simulations** (every cell stored exactly once, total
-recorded evaluations exactly the grid budget) and this is asserted here
-*and* gated in CI by ``check_bench_gate.py``.  The >= 1.5x parallel
-speedup is only gated when the machine reports more than one CPU core —
-on a single-core box the two workers time-slice one core and the number
-is recorded for the trajectory, not enforced.
+**zero duplicated simulations** — the ``evaluations=`` totals the workers
+print in their summary lines (read through ``capfd``) sum to exactly the
+grid budget — and this is asserted here *and* gated in CI by
+``check_bench_gate.py``.  The >= 1.5x parallel speedup is only gated where
+two processes measurably run in parallel (``machine.parallelism``, see
+``bench_report.measured_parallelism``); elsewhere the two workers
+time-slice and the number is recorded for the trajectory, not enforced.
 
 Raise ``REPRO_BENCH_CLUSTER_STEPS`` / ``REPRO_BENCH_CLUSTER_SEEDS`` to
 stress larger grids.
@@ -23,6 +24,7 @@ stress larger grids.
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
@@ -30,7 +32,6 @@ import pytest
 from repro.experiments import ExperimentSettings
 from repro.store import open_run_store
 from repro.store.campaign import Campaign, CampaignSpec
-from repro.store.jsonl import LOG_NAME
 
 from bench_report import record_backend
 from conftest import _bench_int
@@ -62,7 +63,6 @@ def _grid_budget(campaign: Campaign) -> int:
 
 
 def _recorded_evaluations(campaign: Campaign) -> int:
-    campaign.store.refresh()
     total = 0
     for request in campaign.requests():
         record = campaign.store.get(campaign.key_for(request))
@@ -71,13 +71,21 @@ def _recorded_evaluations(campaign: Campaign) -> int:
     return total
 
 
-def test_campaign_cluster_throughput(tmp_path, capsys):
+def _worker_evaluations(output: str) -> int:
+    """Sum of ``evaluations=`` over the workers' ``done:`` summary lines."""
+    return sum(
+        int(match)
+        for match in re.findall(r"worker \S+ done: .*evaluations=(\d+)", output)
+    )
+
+
+def test_campaign_cluster_throughput(tmp_path, capfd):
     settings = _settings()
     spec = CampaignSpec.from_settings(settings)
 
     # Serial reference sweep.
     serial_dir = tmp_path / "serial-store"
-    with open_run_store("jsonl", serial_dir) as store:
+    with open_run_store("sqlite", serial_dir) as store:
         campaign = Campaign(spec, store, settings=settings)
         budget = _grid_budget(campaign)
         cells = len(campaign.requests())
@@ -90,26 +98,21 @@ def test_campaign_cluster_throughput(tmp_path, capsys):
 
     # Distributed sweep: two worker subprocesses over a shared store.
     cluster_dir = tmp_path / "cluster-store"
-    with open_run_store("jsonl", cluster_dir) as store:
+    capfd.readouterr()
+    with open_run_store("sqlite", cluster_dir) as store:
         campaign = Campaign(spec, store, settings=settings)
         start = time.perf_counter()
         report = campaign.run(workers=WORKERS, checkpoint_every=1)
         cluster_elapsed = time.perf_counter() - start
         assert not report.interrupted
         assert report.executed + report.skipped == cells
+        assert _recorded_evaluations(campaign) == budget
 
-        # Zero-duplication audit: each cell appended exactly once to the
-        # log, and the recorded evaluations sum to the grid budget exactly
-        # (a resumed cell's record carries its full history, so any re-run
-        # simulation would show up as an excess here).
-        log_lines = [
-            line
-            for line in (cluster_dir / LOG_NAME).read_text().splitlines()
-            if line.strip()
-        ]
-        duplicated_rows = len(log_lines) - cells
-        duplicated_evals = _recorded_evaluations(campaign) - budget
-        duplicated = duplicated_rows + duplicated_evals
+        # Zero-duplication audit: the evaluations of the cells each worker
+        # completed sum to the grid budget exactly (a resumed cell's record
+        # carries its full history, so a cell run twice shows up as an
+        # excess here).
+        duplicated = _worker_evaluations(capfd.readouterr().out) - budget
     cluster_rate = budget / max(cluster_elapsed, 1e-9)
 
     record_backend(
@@ -130,7 +133,7 @@ def test_campaign_cluster_throughput(tmp_path, capsys):
         },
     )
     speedup = cluster_rate / serial_rate
-    with capsys.disabled():
+    with capfd.disabled():
         print(
             f"\n[campaign-cluster] cells={cells} evaluations={budget} "
             f"serial={serial_rate:.1f}/s workers{WORKERS}={cluster_rate:.1f}/s "
@@ -141,5 +144,5 @@ def test_campaign_cluster_throughput(tmp_path, capsys):
         )))
 
     # The correctness bar is unconditional; the speedup bar lives in
-    # check_bench_gate.py and only fires on multi-core machines.
+    # check_bench_gate.py and only fires on measurably parallel machines.
     assert duplicated == 0

@@ -9,8 +9,10 @@ now shares:
 * ``parallel`` — one batch through a ``ParallelEvaluator`` process pool.
 
 Raise ``REPRO_BENCH_EVAL_DESIGNS`` / ``REPRO_BENCH_EVAL_WORKERS`` to stress
-larger batches.  The parallel-speedup assertion only applies on machines
-with 2+ cores (process pools cannot beat serial execution on one core).
+larger batches.  The parallel-speedup assertion only applies where two
+processes measurably run in parallel (``bench_report.measured_parallelism``):
+a process pool cannot beat serial execution on one core, nor on a shared VM
+that reports two cores but time-slices them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.circuits import get_circuit
 from repro.env import SizingEnvironment, default_fom_config
 from repro.eval import LocalEvaluator, ParallelEvaluator
 
-from bench_report import record_backend
+from bench_report import PARALLELISM_GATE, measured_parallelism, record_backend
 from conftest import _bench_int, run_once
 
 #: Timing-sensitive: runs in the dedicated CI throughput job (by filename),
@@ -85,7 +87,7 @@ def test_batched_parallel_throughput(benchmark, circuit, batch):
 
 
 def test_parallel_speedup_summary(circuit, batch, capsys):
-    """Designs/sec summary; asserts a real speedup on 2+ core machines."""
+    """Designs/sec summary; asserts a real speedup on parallel machines."""
     serial_env = _fresh_env(circuit)
     serial_rate = _designs_per_second(
         lambda: [serial_env.evaluate_sizing(s) for s in batch], len(batch)
@@ -109,18 +111,22 @@ def test_parallel_speedup_summary(circuit, batch, capsys):
         len(batch),
         extra={"workers": NUM_WORKERS, "degraded": pool_degraded},
     )
+    parallelism = measured_parallelism()
+    gated = parallelism >= PARALLELISM_GATE and NUM_WORKERS >= 2
     with capsys.disabled():
         print(
             f"\n[evaluator-throughput] designs={len(batch)} "
             f"workers={NUM_WORKERS} serial={serial_rate:.1f}/s "
             f"batched={batched_rate:.1f}/s parallel={parallel_rate:.1f}/s "
-            f"speedup={parallel_rate / serial_rate:.2f}x"
+            f"speedup={parallel_rate / serial_rate:.2f}x "
+            f"parallelism={parallelism:.2f}x"
+            + ("" if gated else " (recorded, not gated)")
         )
     rewards_serial = [h.reward for h in serial_env.history]
     rewards_parallel = [h.reward for h in parallel_env.history]
     assert rewards_parallel == rewards_serial
     if pool_degraded:
         pytest.skip("process pool unavailable in this environment (serial fallback)")
-    if (os.cpu_count() or 1) >= 2 and NUM_WORKERS >= 2:
+    if gated:
         # >1 designs/sec of headroom over serial, per the acceptance bar.
         assert parallel_rate > serial_rate + 1.0

@@ -1,18 +1,20 @@
-"""Distributed-sweep demo: kill a worker mid-method and watch the steal.
+"""Distributed-sweep demo: kill a worker mid-method and watch the resume.
 
-Builds a small campaign grid over a shared jsonl store, launches one
+Builds a small campaign grid over a shared store directory, launches one
 worker subprocess (exactly what ``python -m repro.experiments worker``
 runs), and SIGKILLs it the moment its first mid-method driver checkpoint
 lands — no graceful shutdown of any kind.  A second, in-process worker
-then joins the same store: it claims the untouched cells, waits out the
-dead worker's lease, **steals** the orphaned cell, and resumes it from
-the checkpoint mid-method.
+then joins the same store.  Opening the store vacuums the dead worker's
+lease (its pid is provably gone on this host), so the survivor claims the
+orphaned cell straight away and **resumes** it from the checkpoint
+mid-method, then drains the untouched cells.  (A worker dying while the
+others keep running is covered by lease expiry instead: once its TTL runs
+out, the next scan steals the cell.)
 
-The punchline is printed at the end: every cell is stored exactly once,
-the total recorded evaluations equal the grid's budget exactly (the
-steal re-paid nothing), and the sweep's records are bit-identical to an
-uninterrupted serial run — the same invariants the ``cluster-smoke`` CI
-job enforces.
+The punchline is printed at the end: the evaluations of the cells the
+survivor completed equal the grid's budget exactly (the takeover re-paid
+nothing), and the sweep's records are bit-identical to an uninterrupted
+serial run — the same invariants the ``cluster-smoke`` CI job enforces.
 
 Run with:
     PYTHONPATH=src python examples/cluster_demo.py [--steps 200]
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import sqlite3
 import tempfile
 import time
+from contextlib import closing
 
 from repro.cluster import CampaignWorker, ClusterLauncher, cell_states, lease_store_for
 from repro.experiments import ExperimentSettings
@@ -38,6 +42,16 @@ def _settings(steps: int) -> ExperimentSettings:
     settings.steps = steps
     settings.seeds = 1
     return settings
+
+
+def _checkpoint_rows(store_dir: str) -> int:
+    """Rows of the store's ``checkpoints`` table (0 before it exists)."""
+    uri = f"file:{os.path.join(store_dir, 'runs.sqlite')}?mode=ro"
+    try:
+        with closing(sqlite3.connect(uri, uri=True)) as conn:
+            return conn.execute("SELECT COUNT(*) FROM checkpoints").fetchone()[0]
+    except sqlite3.OperationalError:  # no database or schema yet
+        return 0
 
 
 def _print_states(campaign: Campaign) -> None:
@@ -72,25 +86,25 @@ def main() -> None:
         print(f"victim worker started (pid {victim.pid})")
 
         # --- 2. kill -9 at the first mid-method checkpoint ------------------
-        checkpoint_dir = os.path.join(store_dir, "checkpoints")
         deadline = time.time() + 120.0
         while time.time() < deadline:
             if victim.poll() is not None:
                 raise SystemExit("victim finished before the kill; lower --steps?")
-            if os.path.isdir(checkpoint_dir) and any(
-                name.endswith(".ckpt") for name in os.listdir(checkpoint_dir)
-            ):
+            if _checkpoint_rows(store_dir):
                 break
             time.sleep(0.005)
         victim.kill()
         victim.wait()
-        print("victim SIGKILLed mid-method; its lease and checkpoint remain:")
+        print(
+            "victim SIGKILLed mid-method; reopening the store vacuums its "
+            "lease, its checkpoint remains:"
+        )
 
-        with open_run_store("jsonl", store_dir) as store:
+        with open_run_store("sqlite", store_dir) as store:
             campaign = Campaign(spec, store, settings=settings)
             _print_states(campaign)
 
-            # --- 3. a second worker joins, steals, and finishes -------------
+            # --- 3. a second worker joins, resumes, and finishes ------------
             survivor = CampaignWorker(
                 campaign, worker_id="survivor", ttl=1.0,
                 checkpoint_every=1, poll_interval=0.05,
@@ -106,21 +120,15 @@ def main() -> None:
             _print_states(campaign)
 
             # --- 4. the zero-duplication audit ------------------------------
-            store.refresh()
-            rows = sum(
-                1 for line in open(os.path.join(store_dir, "runs.jsonl"))
-                if line.strip()
-            )
-            recorded = sum(
-                sum(store.get(campaign.key_for(request)).step_evaluations)
-                for request in campaign.requests()
-            )
+            # The victim completed no cell; the survivor's evaluations (a
+            # resumed record carries its whole history) must be the budget.
             print(
-                f"store rows={rows} (cells={len(campaign.requests())}), "
-                f"recorded evaluations={recorded} (budget={budget})"
+                f"survivor evaluations={report.evaluations} (budget={budget}), "
+                f"stored runs={len(store)} (cells={len(campaign.requests())})"
             )
-            assert rows == len(campaign.requests()) and recorded == budget
-            print("zero duplicated simulations — the steal re-paid nothing")
+            assert report.evaluations == budget
+            assert len(store) == len(campaign.requests())
+            print("zero duplicated simulations — the resume re-paid nothing")
 
 
 if __name__ == "__main__":

@@ -123,7 +123,7 @@ def main() -> None:
     #    already present — so a killed sweep resumes exactly where it stopped
     #    (re-run with the same --store-dir to see everything skipped).
     store_dir = args.store_dir or tempfile.mkdtemp(prefix="repro-quickstart-")
-    store = open_run_store("jsonl", store_dir)
+    store = open_run_store("sqlite", store_dir)
     spec = CampaignSpec(
         methods=["human", "random"],
         circuits=[args.circuit],

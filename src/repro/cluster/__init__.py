@@ -1,18 +1,18 @@
 """Distributed campaign execution over a shared run store.
 
-``repro.cluster`` turns any shared store directory (or in-process
+``repro.cluster`` turns a store directory (or an in-process
 :class:`~repro.store.MemoryStore`) into a work queue for sweep cells:
 workers claim cells under expiring, heartbeat-renewed leases
 (:mod:`~repro.cluster.leases`), execute them through the checkpointable
-driver (:mod:`~repro.cluster.worker`), and steal cells from dead workers
+driver (:mod:`~repro.cluster.worker`), and take over cells of dead workers
 mid-method (:mod:`~repro.cluster.scheduler`) with bit-identical resume.
 :class:`~repro.cluster.launcher.ClusterLauncher` spawns N local worker
-processes — the same CLI command extra machines run to join a sweep.
+processes — the same CLI command any other process on the host runs to
+join a sweep.
 """
 
 from repro.cluster.leases import (
     DEFAULT_TTL,
-    JsonlLeaseStore,
     Lease,
     LeaseLostError,
     LeaseStore,
@@ -39,7 +39,6 @@ __all__ = [
     "ClusterLauncher",
     "ClusterReport",
     "DEFAULT_TTL",
-    "JsonlLeaseStore",
     "Lease",
     "LeaseHeartbeat",
     "LeaseLostError",

@@ -2,9 +2,9 @@
 
 The launcher is deliberately thin: each worker is just
 ``python -m repro.experiments worker --store-dir ... --spec ...`` — the
-exact command any *other* machine mounting the same store directory would
-run to join the sweep.  All coordination happens through the store's lease
-backend; the launcher only forks, waits, and summarizes.
+exact command any *other* process on the host would run to join the sweep.
+All coordination happens through the store's lease table; the launcher
+only forks, waits, and summarizes.
 
 Run-key-affecting configuration travels to the children explicitly: the
 grid as one ``--spec`` JSON argument, the RL warm-up fraction and the
@@ -67,7 +67,6 @@ class ClusterLauncher:
     Args:
         spec: The grid to execute.
         store_dir: Shared store directory all workers read/write.
-        store_backend: ``"jsonl"`` or ``"sqlite"``.
         workers: Number of worker processes.
         settings: Experiment settings; the run-key-relevant parts
             (warm-up fraction, evaluator stack) are exported to the
@@ -83,7 +82,6 @@ class ClusterLauncher:
         self,
         spec: CampaignSpec,
         store_dir: str,
-        store_backend: str = "jsonl",
         workers: int = 2,
         settings=None,
         evaluator_config=None,
@@ -94,14 +92,8 @@ class ClusterLauncher:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if store_backend not in ("jsonl", "sqlite"):
-            raise ValueError(
-                "a distributed sweep needs a directory-backed store "
-                f"(jsonl or sqlite), got {store_backend!r}"
-            )
         self.spec = spec
         self.store_dir = str(store_dir)
-        self.store_backend = store_backend
         self.workers = int(workers)
         self.settings = settings
         self.evaluator_config = evaluator_config
@@ -114,8 +106,8 @@ class ClusterLauncher:
     def worker_command(self, index: int) -> List[str]:
         """The standalone CLI invocation of worker ``index``.
 
-        Identical to what an operator would type on another machine to join
-        this sweep (with their own ``--worker-id``).
+        Identical to what an operator would type in another terminal to
+        join this sweep (with their own ``--worker-id``).
         """
         return [
             sys.executable,
@@ -124,8 +116,6 @@ class ClusterLauncher:
             "worker",
             "--store-dir",
             self.store_dir,
-            "--store-backend",
-            self.store_backend,
             "--spec",
             json.dumps(self.spec.to_dict(), sort_keys=True),
             "--worker-id",
@@ -173,7 +163,7 @@ class ClusterLauncher:
 
     def run(self, timeout: Optional[float] = None) -> ClusterReport:
         """Spawn the workers, wait for them, and report completion."""
-        from repro.store import open_run_store
+        from repro.store import SqliteStore
         from repro.store.campaign import Campaign
 
         started = time.perf_counter()
@@ -194,7 +184,7 @@ class ClusterLauncher:
             exit_codes=[process.returncode for process in self.processes],
             duration_s=time.perf_counter() - started,
         )
-        with open_run_store(self.store_backend, self.store_dir) as store:
+        with SqliteStore(self.store_dir) as store:
             campaign = Campaign(
                 self.spec,
                 store,

@@ -6,22 +6,20 @@ before executing it, renew the lease from a heartbeat thread while the
 method runs, and release it when the cell's record lands in the store.  A
 worker that dies stops renewing; once the lease's wall-clock expiry passes,
 any other worker may claim the cell over the stale lease (work-stealing) and
-resume it from the latest driver checkpoint.
+resume it from the latest driver checkpoint.  On the dead worker's own host
+the next store open drops the lease at once
+(:meth:`~repro.store.SqliteStore.vacuum_leases`).
 
-One :class:`LeaseStore` backend exists per run-store backend, so *any*
-shared store directory doubles as a work queue with no extra service:
+One :class:`LeaseStore` backend exists per run-store backend, so a store
+directory doubles as a work queue with no extra service:
 
 * :class:`MemoryLeaseStore` — dict + mutex, attached to the
   :class:`~repro.store.MemoryStore` instance (in-process workers only).
-* :class:`JsonlLeaseStore` — one atomic ``leases/<key_id>.lease`` JSON file
-  per claim next to ``runs.jsonl``; mutations serialize on an ``flock`` over
-  ``leases/.lock`` so concurrent claimants (processes or threads) race
-  safely even on a plain shared directory.
 * :class:`SqliteLeaseStore` — a ``leases`` table inside the store's WAL
   ``runs.sqlite``; claims are a single conditional upsert, so exclusivity is
   the database's atomicity.
 
-All three share one contract, enforced by the conformance suite in
+Both share one contract, enforced by the conformance suite in
 ``tests/test_cluster.py``: at most one live owner per key, claims succeed
 over expired leases and are re-entrant for the current owner, ``renew``
 extends only the owner's lease, and ``release`` is idempotent.
@@ -30,33 +28,22 @@ extends only the owner's lease, and ``release`` is idempotent.
 from __future__ import annotations
 
 import abc
-import json
 import os
 import socket
 import sqlite3
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-try:  # POSIX only; the jsonl backend degrades to lock-free on other systems.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
-
 from repro.store.base import RunKey
-from repro.store.jsonl import JsonlStore
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import BUSY_TIMEOUT_MS, DB_NAME, LEASE_SCHEMA, SqliteStore
 
 #: Default lease time-to-live in seconds.  A worker missing this many
 #: seconds of heartbeats is presumed dead and its cell becomes stealable.
 DEFAULT_TTL = 30.0
-
-#: Subdirectory of a jsonl store holding one lease file per claimed cell.
-LEASE_DIR = "leases"
 
 
 class LeaseLostError(RuntimeError):
@@ -95,34 +82,13 @@ class Lease:
         """Seconds since the lease was (re-)acquired."""
         return max(0.0, now - self.acquired_at)
 
-    def to_dict(self) -> Dict:
-        return {
-            "key_id": self.key_id,
-            "owner": self.owner,
-            "acquired_at": float(self.acquired_at),
-            "expires_at": float(self.expires_at),
-            "pid": int(self.pid),
-            "host": self.host,
-        }
-
-    @classmethod
-    def from_dict(cls, data) -> "Lease":
-        return cls(
-            key_id=data["key_id"],
-            owner=data["owner"],
-            acquired_at=float(data["acquired_at"]),
-            expires_at=float(data["expires_at"]),
-            pid=int(data["pid"]),
-            host=data["host"],
-        )
-
 
 def make_owner_id(name: Optional[str] = None) -> str:
     """Globally unique claimant identity: ``host:pid:name``.
 
-    The host and pid make dead-owner diagnosis possible from any machine
-    sharing the store; the name (a worker label, or a random suffix) keeps
-    two workers in one process distinct.
+    The host and pid let ``ls --status`` readers (and the dead-pid vacuum)
+    tell which process holds a cell; the name (a worker label, or a random
+    suffix) keeps two workers in one process distinct.
     """
     return f"{socket.gethostname()}:{os.getpid()}:{name or uuid.uuid4().hex[:8]}"
 
@@ -198,6 +164,18 @@ def _may_claim(existing: Optional[Lease], owner: str, now: float) -> bool:
     return existing is None or existing.owner == owner or existing.expired(now)
 
 
+def _new_lease(key_id: str, owner: str, ttl: float, now: float) -> Lease:
+    """A fresh lease for this process, acquired at ``now``."""
+    return Lease(
+        key_id=key_id,
+        owner=owner,
+        acquired_at=now,
+        expires_at=now + float(ttl),
+        pid=os.getpid(),
+        host=socket.gethostname(),
+    )
+
+
 class MemoryLeaseStore(LeaseStore):
     """Dict + mutex lease store for in-process (threaded) workers."""
 
@@ -206,23 +184,13 @@ class MemoryLeaseStore(LeaseStore):
         self._rows: Dict[str, Lease] = {}
         self._mutex = threading.Lock()
 
-    def _build(self, key_id: str, owner: str, ttl: float, now: float) -> Lease:
-        return Lease(
-            key_id=key_id,
-            owner=owner,
-            acquired_at=now,
-            expires_at=now + float(ttl),
-            pid=os.getpid(),
-            host=socket.gethostname(),
-        )
-
     def claim(self, key: RunKey, owner: str, ttl: float) -> Optional[Lease]:
         key_id = key.key_id()
         with self._mutex:
             now = self._clock()
             if not _may_claim(self._rows.get(key_id), owner, now):
                 return None
-            lease = self._build(key_id, owner, ttl, now)
+            lease = _new_lease(key_id, owner, ttl, now)
             self._rows[key_id] = lease
             return lease
 
@@ -273,150 +241,13 @@ class MemoryLeaseStore(LeaseStore):
             self._rows.clear()
 
 
-class JsonlLeaseStore(LeaseStore):
-    """One atomic lease file per claim, serialized on a directory flock.
-
-    Every mutation (claim/renew/release/reclaim) runs under an exclusive
-    ``flock`` on ``leases/.lock``, making read-modify-write atomic across
-    processes sharing the directory.  Reads go lock-free: lease files are
-    written via temp-file + ``os.replace``, so a reader always sees either
-    the old or the new lease, never a torn one.
-    """
-
-    def __init__(self, directory, clock: Callable[[], float] = time.time):
-        super().__init__(clock)
-        self.directory = str(directory)
-        self.lease_dir = os.path.join(self.directory, LEASE_DIR)
-        os.makedirs(self.lease_dir, exist_ok=True)
-        self._lock_path = os.path.join(self.lease_dir, ".lock")
-
-    @contextmanager
-    def _locked(self):
-        fd = os.open(self._lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            os.close(fd)  # closing the descriptor releases the flock
-
-    def _path(self, key_id: str) -> str:
-        return os.path.join(self.lease_dir, key_id + ".lease")
-
-    def _read(self, key_id: str) -> Optional[Lease]:
-        try:
-            with open(self._path(key_id), "r", encoding="utf-8") as handle:
-                return Lease.from_dict(json.load(handle))
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, KeyError, ValueError):
-            # Unreadable lease (e.g. interrupted manual edit): treat as
-            # absent — the worst case is an extra claim race, which the
-            # flock still serializes.
-            return None
-
-    def _write(self, lease: Lease) -> None:
-        path = self._path(lease.key_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(lease.to_dict(), handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-
-    def claim(self, key: RunKey, owner: str, ttl: float) -> Optional[Lease]:
-        key_id = key.key_id()
-        with self._locked():
-            now = self._clock()
-            if not _may_claim(self._read(key_id), owner, now):
-                return None
-            lease = Lease(
-                key_id=key_id,
-                owner=owner,
-                acquired_at=now,
-                expires_at=now + float(ttl),
-                pid=os.getpid(),
-                host=socket.gethostname(),
-            )
-            self._write(lease)
-            return lease
-
-    def renew(self, key: RunKey, owner: str, ttl: float) -> bool:
-        key_id = key.key_id()
-        with self._locked():
-            existing = self._read(key_id)
-            if existing is None or existing.owner != owner:
-                return False
-            self._write(
-                Lease(
-                    key_id=key_id,
-                    owner=owner,
-                    acquired_at=existing.acquired_at,
-                    expires_at=self._clock() + float(ttl),
-                    pid=existing.pid,
-                    host=existing.host,
-                )
-            )
-            return True
-
-    def release(self, key: RunKey, owner: str) -> bool:
-        key_id = key.key_id()
-        with self._locked():
-            existing = self._read(key_id)
-            if existing is None:
-                return True
-            if existing.owner != owner:
-                return False
-            try:
-                os.remove(self._path(key_id))
-            except FileNotFoundError:
-                pass
-            return True
-
-    def get(self, key: RunKey) -> Optional[Lease]:
-        return self._read(key.key_id())
-
-    def _key_ids(self) -> List[str]:
-        try:
-            names = os.listdir(self.lease_dir)
-        except FileNotFoundError:
-            return []
-        return [name[: -len(".lease")] for name in names if name.endswith(".lease")]
-
-    def leases(self) -> List[Lease]:
-        rows = (self._read(key_id) for key_id in self._key_ids())
-        return [lease for lease in rows if lease is not None]
-
-    def reclaim_expired(self) -> List[Lease]:
-        with self._locked():
-            now = self._clock()
-            reclaimed = []
-            for key_id in self._key_ids():
-                lease = self._read(key_id)
-                if lease is not None and lease.expired(now):
-                    try:
-                        os.remove(self._path(key_id))
-                    except FileNotFoundError:
-                        continue
-                    reclaimed.append(lease)
-            return reclaimed
-
-    def clear(self) -> None:
-        with self._locked():
-            for key_id in self._key_ids():
-                try:
-                    os.remove(self._path(key_id))
-                except FileNotFoundError:
-                    pass
-
-
 class SqliteLeaseStore(LeaseStore):
     """Lease table inside the run store's WAL ``runs.sqlite``.
 
     A claim is one conditional upsert — the insert wins outright, the
     conflict branch only fires when the existing row is expired or already
     ours — so exclusivity under concurrent claimants is the database's own
-    atomicity, across threads, processes and machines sharing the file.
+    atomicity, across the threads and processes sharing the file.
     The single connection is shared between the worker's main loop and its
     heartbeat thread, hence ``check_same_thread=False`` plus a mutex.
     """
@@ -439,15 +270,7 @@ class SqliteLeaseStore(LeaseStore):
 
     def claim(self, key: RunKey, owner: str, ttl: float) -> Optional[Lease]:
         with self._mutex:
-            now = self._clock()
-            lease = Lease(
-                key_id=key.key_id(),
-                owner=owner,
-                acquired_at=now,
-                expires_at=now + float(ttl),
-                pid=os.getpid(),
-                host=socket.gethostname(),
-            )
+            lease = _new_lease(key.key_id(), owner, ttl, self._clock())
             cursor = self._conn.execute(
                 "INSERT INTO leases (key_id, owner, acquired_at, expires_at, pid, host) "
                 "VALUES (?, ?, ?, ?, ?, ?) "
@@ -544,8 +367,8 @@ def lease_store_for(store, clock: Callable[[], float] = time.time) -> LeaseStore
 
     Memory stores get a :class:`MemoryLeaseStore` cached *on the store
     instance* (so every in-process worker sharing the store shares the
-    queue); directory-backed stores get a lease store over the same
-    directory/database, visible to every process holding the directory.
+    queue); a :class:`~repro.store.SqliteStore` gets a lease table in the
+    same database, visible to every process holding the directory.
     """
     if isinstance(store, MemoryStore):
         cached = getattr(store, "_cluster_lease_store", None)
@@ -553,11 +376,9 @@ def lease_store_for(store, clock: Callable[[], float] = time.time) -> LeaseStore
             cached = MemoryLeaseStore(clock)
             store._cluster_lease_store = cached
         return cached
-    if isinstance(store, JsonlStore):
-        return JsonlLeaseStore(store.directory, clock)
     if isinstance(store, SqliteStore):
         return SqliteLeaseStore(store.directory, clock)
     raise TypeError(
         f"no lease backend for {type(store).__name__}; expected a "
-        "MemoryStore, JsonlStore or SqliteStore"
+        "MemoryStore or SqliteStore"
     )

@@ -77,7 +77,6 @@ class WorkScheduler:
         (:meth:`outstanding` == 0) or every remaining cell is under a live
         lease — the caller should poll again after a wait.
         """
-        self.campaign.store.refresh()
         stealable: List[RunRequest] = []
         now = self._clock()
         for request in self.campaign.requests():
@@ -118,7 +117,6 @@ class WorkScheduler:
 
     def outstanding(self) -> int:
         """Cells whose final record is not in the store yet."""
-        self.campaign.store.refresh()
         return len(self.campaign.pending())
 
     def reclaim_expired(self) -> List[Lease]:
@@ -155,7 +153,6 @@ def cell_states(
     clock: Callable[[], float] = time.time,
 ) -> List[CellState]:
     """Per-cell state of a (possibly running) sweep, in sweep order."""
-    campaign.store.refresh()
     now = clock()
     states = []
     for request in campaign.requests():

@@ -18,9 +18,10 @@ Shutdown paths, in decreasing order of grace:
   past its TTL and another worker took the cell).  ``pause_check`` raises
   :class:`~repro.cluster.leases.LeaseLostError`: the run aborts *without*
   writing a checkpoint or touching the lease — both belong to the thief.
-* **SIGKILL** — nothing runs here, by definition.  The lease simply
-  expires and the cell is stolen with at most ``checkpoint_every`` steps
-  of simulation re-paid.
+* **SIGKILL** — nothing runs here, by definition.  The next store open
+  on the worker's host vacuums its lease, or else the lease expires after
+  its TTL; whoever claims the cell next resumes it with at most
+  ``checkpoint_every`` steps of simulation re-paid.
 """
 
 from __future__ import annotations
@@ -292,7 +293,6 @@ class CampaignWorker:
         key, request = assignment.key, assignment.request
         # Between our pending-scan and the claim another worker may have
         # finished this very cell; re-read before paying for simulation.
-        self.campaign.store.refresh()
         if self.campaign.store.get(key) is not None:
             self.lease_store.release(key, self.worker_id)
             report.skipped += 1

@@ -1,16 +1,16 @@
 """Command-line entry point for regenerating the paper's tables and figures.
 
-Runs can be persisted to a durable store (``--store-dir``/``--store-backend``
-or ``REPRO_STORE_DIR``/``REPRO_STORE_BACKEND``), which makes every target
-incremental across invocations and enables campaign-style workflows:
+Runs can be persisted to a durable store (``--store-dir`` or
+``REPRO_STORE_DIR``: a SQLite database in that directory), which makes every
+target incremental across invocations and enables campaign-style workflows:
 
 * ``sweep`` — run the methods × circuits × technologies × seeds grid,
   skipping cells already in the store (kill-and-resume safe).  With
   ``--workers N`` the grid is executed by N local worker processes over the
   shared store directory (leases + work-stealing; see :mod:`repro.cluster`).
-* ``worker`` — join an in-progress distributed sweep from this machine:
-  claim, execute and steal cells until the grid drains (SIGTERM
-  checkpoints mid-method and releases cleanly).
+* ``worker`` — join an in-progress distributed sweep from another process
+  on the same host: claim, execute and steal cells until the grid drains
+  (SIGTERM checkpoints mid-method and releases cleanly).
 * ``ls`` — list the runs currently in the store (with coordinate filters);
   ``--status`` shows per-cell sweep state (pending / leased / done) instead.
 * ``export`` — dump stored runs as JSON for downstream analysis.
@@ -21,7 +21,7 @@ incremental across invocations and enables campaign-style workflows:
 Examples:
     python -m repro.experiments table1 --steps 100 --seeds 2
     python -m repro.experiments table1 --eval-backend vectorized
-    python -m repro.experiments sweep --store-dir runs --store-backend jsonl
+    python -m repro.experiments sweep --store-dir runs
     python -m repro.experiments sweep --store-dir runs --workers 4
     python -m repro.experiments worker --store-dir runs --worker-id lab-box-1
     python -m repro.experiments ls --store-dir runs --method gcn_rl
@@ -54,7 +54,8 @@ from repro.experiments.tables import (
     table4_technology_transfer,
     table5_topology_transfer,
 )
-from repro.store import Campaign, CampaignSpec, RunStore, STORE_BACKENDS
+from repro.store import Campaign, CampaignSpec, RunStore
+from repro.store.sqlite import reject_jsonl_directory
 
 TARGETS = ["table1", "table2", "table3", "table4", "table5", "figure5", "figure7", "figure8"]
 STORE_COMMANDS = ["sweep", "worker", "ls", "export"]
@@ -96,15 +97,6 @@ def _build_settings(args: argparse.Namespace) -> ExperimentSettings:
         settings.eval_cache_size = args.cache_size
     if args.store_dir:
         settings.store_dir = args.store_dir
-    if args.store_backend:
-        settings.store_backend = args.store_backend
-    # A store directory (flag or REPRO_STORE_DIR) without an explicitly
-    # chosen backend implies durable storage — a memory store would ignore
-    # the directory and silently discard every result on exit.  The server
-    # defaults to sqlite instead: its WAL mode lets run workers and external
-    # CLI readers share one store without "database is locked" errors.
-    if settings.store_dir and not args.store_backend and settings.store_backend == "memory":
-        settings.store_backend = "sqlite" if args.target == "serve" else "jsonl"
     # Fail fast on inconsistent combinations before any run starts.
     if args.max_steps is not None and args.max_runs is None:
         raise ValueError(
@@ -112,17 +104,14 @@ def _build_settings(args: argparse.Namespace) -> ExperimentSettings:
             "(it bounds the partial run after the allowed executions)"
         )
     settings.evaluator_config()
-    if settings.store_backend != "memory" and not settings.store_dir:
-        raise ValueError(
-            f"store backend {settings.store_backend!r} requires --store-dir "
-            "(or REPRO_STORE_DIR)"
-        )
+    if settings.store_dir:
+        reject_jsonl_directory(settings.store_dir)
     return settings
 
 
 def _open_store(settings: ExperimentSettings) -> Optional[RunStore]:
     """The run store the CLI should use (``None`` = runner's default)."""
-    if settings.store_backend == "memory" and not settings.store_dir:
+    if not settings.store_dir:
         return None
     return settings.build_run_store()
 
@@ -151,7 +140,7 @@ def _sweep(settings: ExperimentSettings, store: Optional[RunStore], args) -> Non
     if store is None:
         # A sweep's entire point is persistence; silently executing into a
         # throwaway in-memory store would discard every result on exit.
-        print("no store configured (use --store-dir / --store-backend)")
+        print("no store configured (use --store-dir)")
         return
     spec = _campaign_spec(settings, args)
     campaign = Campaign(spec, store, settings=settings)
@@ -189,7 +178,7 @@ def _worker(settings: ExperimentSettings, store: Optional[RunStore], args) -> No
     from repro.cluster import CampaignWorker, make_owner_id
 
     if store is None:
-        print("no store configured (use --store-dir / --store-backend)")
+        print("no store configured (use --store-dir)")
         return
     spec = _campaign_spec(settings, args)
     campaign = Campaign(spec, store, settings=settings)
@@ -244,7 +233,6 @@ def _service_config(settings: ExperimentSettings, args):
     # the batch default of 0 would silently disable stored-result dedup.
     cache = settings.eval_cache_size or DEFAULT_CACHE_SIZE
     return ServiceConfig(
-        store_backend=settings.store_backend,
         store_dir=settings.store_dir,
         eval_backend=settings.eval_backend,
         eval_workers=settings.eval_workers,
@@ -257,7 +245,7 @@ def _serve(settings: ExperimentSettings, args) -> None:
     from repro.service import run_service
 
     config = _service_config(settings, args)
-    if config.store_backend == "memory":
+    if not config.store_dir:
         print(
             "warning: serving from an in-memory store — run results and "
             "restart recovery will not survive this process "
@@ -352,7 +340,7 @@ def _client(settings: ExperimentSettings, args) -> None:
 
 def _ls(settings: ExperimentSettings, store: Optional[RunStore], args) -> None:
     if store is None:
-        print("no store configured (use --store-dir / --store-backend)")
+        print("no store configured (use --store-dir)")
         return
     if args.status:
         _ls_status(settings, store, args)
@@ -401,7 +389,7 @@ def _ls_status(settings: ExperimentSettings, store: RunStore, args) -> None:
 
 def _export(store: Optional[RunStore], args) -> None:
     if store is None:
-        print("no store configured (use --store-dir / --store-backend)")
+        print("no store configured (use --store-dir)")
         return
     rows = [stored.to_dict() for stored in store.items()]
     rows.sort(key=lambda row: json.dumps(row["key"], sort_keys=True))
@@ -454,13 +442,10 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--store-dir",
         default=None,
-        help="run-store directory (implies --store-backend jsonl)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=list(STORE_BACKENDS),
-        default=None,
-        help="how completed runs are persisted",
+        help=(
+            "run-store directory: completed runs, checkpoints and leases "
+            "persist to a SQLite database (runs.sqlite) in it"
+        ),
     )
     parser.add_argument(
         "--technologies",

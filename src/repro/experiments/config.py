@@ -14,7 +14,7 @@ raised towards the paper's scale through environment variables:
 * ``REPRO_EVAL_BACKEND`` / ``REPRO_EVAL_WORKERS`` / ``REPRO_EVAL_CACHE`` —
   evaluator stack used for every simulator call (see
   :class:`repro.eval.EvaluatorConfig`).
-* ``REPRO_STORE_BACKEND`` / ``REPRO_STORE_DIR`` — persistent run store every
+* ``REPRO_STORE_DIR`` — directory of the persistent (SQLite) run store every
   completed run is written to (see :mod:`repro.store`).
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.eval import BACKENDS, EvaluatorConfig
-from repro.store import STORE_BACKENDS, RunStore, open_run_store
+from repro.store import RunStore, open_run_store
 
 
 def _env_int(name: str, default: int) -> int:
@@ -93,8 +93,7 @@ class ExperimentSettings:
             ``vectorized``).
         eval_workers: Worker-pool size; 0 means the machine's CPU count.
         eval_cache_size: LRU design-cache capacity; 0 disables caching.
-        store_backend: Run-store backend (``memory``, ``jsonl``, ``sqlite``).
-        store_dir: Run-store directory (required by the persistent backends).
+        store_dir: Run-store directory; empty keeps runs in process memory.
     """
 
     steps: int = field(default_factory=lambda: _env_int("REPRO_STEPS", 80))
@@ -135,11 +134,6 @@ class ExperimentSettings:
     eval_cache_size: int = field(
         default_factory=lambda: _env_nonneg_int("REPRO_EVAL_CACHE", 0)
     )
-    store_backend: str = field(
-        default_factory=lambda: _env_choice(
-            "REPRO_STORE_BACKEND", "memory", STORE_BACKENDS
-        )
-    )
     store_dir: str = field(default_factory=lambda: os.environ.get("REPRO_STORE_DIR", ""))
 
     def rl_warmup(self, steps: int) -> int:
@@ -155,8 +149,13 @@ class ExperimentSettings:
         )
 
     def build_run_store(self) -> RunStore:
-        """Open the run store these settings describe (a fresh handle)."""
-        return open_run_store(self.store_backend, self.store_dir or None)
+        """Open the run store these settings describe (a fresh handle).
+
+        A store directory means a :class:`~repro.store.SqliteStore` in it;
+        no directory means a :class:`~repro.store.MemoryStore`.
+        """
+        backend = "sqlite" if self.store_dir else "memory"
+        return open_run_store(backend, self.store_dir or None)
 
 
 #: Method display names as used in the paper's tables.

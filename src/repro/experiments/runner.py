@@ -6,9 +6,9 @@ completed run is therefore written to a :class:`~repro.store.RunStore` under
 its canonical :class:`~repro.store.RunKey`; an identical request is served
 from the store instead of re-simulating.  The default store is an in-process
 :class:`~repro.store.MemoryStore` (the behaviour of the old ``_RUN_CACHE``
-dict); passing ``store=`` a :class:`~repro.store.JsonlStore` or
-:class:`~repro.store.SqliteStore` makes runs durable across processes, which
-is what the :class:`~repro.store.Campaign` orchestrator builds on.
+dict); passing ``store=`` a :class:`~repro.store.SqliteStore` makes runs
+durable across processes, which is what the :class:`~repro.store.Campaign`
+orchestrator builds on.
 
 Every method — black-box baselines, the human expert and the RL agents —
 executes through one :class:`~repro.experiments.driver.OptimizationDriver`

@@ -28,7 +28,6 @@ from typing import Any, Dict, Optional
 
 from repro.eval import BACKENDS, EvaluatorConfig
 from repro.resilience import RetryPolicy
-from repro.store import STORE_BACKENDS
 
 #: Default TCP port of the optimization service.
 DEFAULT_PORT = 8711
@@ -67,10 +66,9 @@ class ServiceConfig:
     Attributes:
         host: Bind address.
         port: Bind port (0 asks the OS for an ephemeral port — tests).
-        store_backend: Run-store backend runs/checkpoints persist to
-            (``sqlite`` recommended: WAL mode shares the store with external
-            readers).  ``memory`` serves fine but restarts are not lossless.
-        store_dir: Store directory (required by the persistent backends).
+        store_dir: Store directory runs/checkpoints persist to (a SQLite
+            store, whose WAL mode shares it with external readers).  Empty
+            serves from memory: fine, but restarts are not lossless.
         eval_backend: Evaluator backend coalesced batches go through
             (``local`` is bit-identical to direct evaluation; ``vectorized``
             trades ~1e-12 FoM parity for the stacked-MNA speedup).
@@ -102,7 +100,6 @@ class ServiceConfig:
     port: int = field(
         default_factory=lambda: _env_int("REPRO_SERVE_PORT", DEFAULT_PORT)
     )
-    store_backend: str = "memory"
     store_dir: str = ""
     eval_backend: str = "local"
     eval_workers: int = 0
@@ -140,15 +137,6 @@ class ServiceConfig:
     def __post_init__(self):
         if not (0 <= int(self.port) <= 65535):
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
-        if self.store_backend not in STORE_BACKENDS:
-            raise ValueError(
-                f"unknown store backend {self.store_backend!r}; "
-                f"expected one of {STORE_BACKENDS}"
-            )
-        if self.store_backend != "memory" and not self.store_dir:
-            raise ValueError(
-                f"store backend {self.store_backend!r} requires store_dir"
-            )
         if self.eval_backend not in BACKENDS:
             raise ValueError(
                 f"unknown eval backend {self.eval_backend!r}; "
@@ -210,11 +198,7 @@ class ServiceConfig:
 
     def describe(self) -> str:
         """One-line summary used by the startup banner and logs."""
-        store = (
-            f"{self.store_backend}:{self.store_dir}"
-            if self.store_dir
-            else self.store_backend
-        )
+        store = f"sqlite:{self.store_dir}" if self.store_dir else "memory"
         chaos = (
             f", chaos={self.chaos_rate}@seed{self.chaos_seed}"
             if self.chaos_rate > 0

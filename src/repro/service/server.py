@@ -64,7 +64,6 @@ class OptimizationService:
             chaos=self.config.chaos_config(),
         )
         self.supervisor = RunSupervisor(
-            store_backend=self.config.store_backend,
             store_dir=self.config.store_dir,
             default_checkpoint_every=self.config.checkpoint_every,
             evaluator_config=self.config.evaluator_config(),

@@ -11,8 +11,8 @@ way.
 Lossless restart is journal + checkpoint:
 
 * the **journal** (``service_jobs.jsonl`` in the store directory) records
-  every submitted job's full spec and its terminal state, append-only with
-  the same torn-tail tolerance as the JSONL run store;
+  every submitted job's full spec and its terminal state, append-only and
+  tolerant of a torn final line;
 * the **checkpoints** are the ordinary driver checkpoints
   (strategy + environment + RNG state) filed in the run store every
   ``checkpoint_every`` steps.
@@ -147,9 +147,9 @@ class RunSupervisor:
     """Owns every run job: execution, progress fan-out, journal, adoption.
 
     Args:
-        store_backend: Run-store backend job results/checkpoints persist to.
-        store_dir: Store directory (enables the journal; without it jobs are
-            in-memory only and restarts lose them).
+        store_dir: Store directory job results/checkpoints persist to, as a
+            SQLite store, next to the journal; without it jobs are
+            in-memory only and restarts lose them.
         default_checkpoint_every: Checkpoint cadence for jobs that don't
             choose their own.
         evaluator_config: Evaluator stack runs are executed with.
@@ -157,20 +157,18 @@ class RunSupervisor:
 
     def __init__(
         self,
-        store_backend: str = "memory",
         store_dir: str = "",
         default_checkpoint_every: int = 1,
         evaluator_config: Optional[EvaluatorConfig] = None,
     ):
-        self.store_backend = store_backend
         self.store_dir = store_dir
         self.default_checkpoint_every = int(default_checkpoint_every)
         self.evaluator_config = evaluator_config or EvaluatorConfig()
         self.jobs: Dict[str, Job] = {}
         self._tasks: Dict[str, asyncio.Task] = {}
-        # The memory backend has no directory to reopen per thread, so every
+        # Without a directory there is nothing to reopen per thread, so every
         # job shares this one instance (dict ops are GIL-atomic enough).
-        self._memory_store = MemoryStore() if store_backend == "memory" else None
+        self._memory_store = None if store_dir else MemoryStore()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # --- journal ------------------------------------------------------------------
@@ -206,8 +204,7 @@ class RunSupervisor:
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError:
-                    # A kill mid-append leaves one torn final line; tolerate
-                    # it exactly like the JSONL run store does.
+                    # A kill mid-append leaves one torn final line; skip it.
                     continue
                 event = row.get("event")
                 if event == "submitted":
@@ -311,7 +308,7 @@ class RunSupervisor:
     def _open_store(self) -> RunStore:
         if self._memory_store is not None:
             return self._memory_store
-        return open_run_store(self.store_backend, self.store_dir)
+        return open_run_store("sqlite", self.store_dir)
 
     def _execute(self, job: Job):
         """Worker-thread body: the full run, with its own store handle.

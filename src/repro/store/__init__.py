@@ -7,9 +7,8 @@ whole table/figure campaigns into resumable sweeps:
   cache used to key on), JSON round-trippable.
 * :class:`RunStore` — the storage protocol: latest-wins ``put``/``get`` plus
   a coordinate query API.
-* :class:`MemoryStore` / :class:`JsonlStore` / :class:`SqliteStore` — the
-  in-process reference, the append-only directory log, and the indexed
-  database backends.
+* :class:`MemoryStore` / :class:`SqliteStore` — the in-process reference
+  and the durable, indexed database in a store directory.
 * :class:`Campaign` / :class:`CampaignSpec` — declarative grid sweeps that
   skip cells already in the store (kill-and-resume safe).
 * :func:`open_run_store` — backend factory shared by the CLI and settings.
@@ -22,12 +21,11 @@ from typing import Optional
 
 from repro.store.base import RunKey, RunStore, StoredRun, make_run_key
 from repro.store.campaign import Campaign, CampaignReport, CampaignSpec, RunRequest
-from repro.store.jsonl import JsonlStore
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SqliteStore
 
 #: Recognised store backends.
-STORE_BACKENDS = ("memory", "jsonl", "sqlite")
+STORE_BACKENDS = ("memory", "sqlite")
 
 
 def open_run_store(
@@ -36,8 +34,8 @@ def open_run_store(
     """Open (creating if necessary) a run store.
 
     Args:
-        backend: ``"memory"``, ``"jsonl"`` or ``"sqlite"``.
-        directory: Store directory; required by the persistent backends.
+        backend: ``"memory"`` or ``"sqlite"``.
+        directory: Store directory; required by ``"sqlite"``.
     """
     if backend not in STORE_BACKENDS:
         raise ValueError(
@@ -47,10 +45,7 @@ def open_run_store(
         return MemoryStore()
     if directory is None:
         raise ValueError(f"store backend {backend!r} requires a directory")
-    directory = os.path.expanduser(str(directory))
-    if backend == "jsonl":
-        return JsonlStore(directory)
-    return SqliteStore(directory)
+    return SqliteStore(os.path.expanduser(str(directory)))
 
 
 __all__ = [
@@ -59,7 +54,6 @@ __all__ = [
     "StoredRun",
     "make_run_key",
     "MemoryStore",
-    "JsonlStore",
     "SqliteStore",
     "Campaign",
     "CampaignSpec",

@@ -8,16 +8,14 @@ across processes: the runner writes every completed run under its canonical
 :class:`~repro.store.campaign.Campaign` orchestrator read them back, and a
 half-finished sweep resumes by simply skipping keys already present.
 
-Three backends implement the protocol:
+Two backends implement the protocol:
 
 * :class:`~repro.store.memory.MemoryStore` — in-process dict (the reference
   implementation; what the old ``_RUN_CACHE`` used to be).
-* :class:`~repro.store.jsonl.JsonlStore` — append-only ``runs.jsonl`` in a
-  directory; crash-safe, human-greppable, latest-wins on replay.
-* :class:`~repro.store.sqlite.SqliteStore` — indexed SQLite database for
-  large campaigns and fast filtered queries.
+* :class:`~repro.store.sqlite.SqliteStore` — the durable store: one indexed
+  ``runs.sqlite`` database per store directory.
 
-All backends share one semantic contract, enforced by the conformance tests
+Both backends share one semantic contract, enforced by the conformance tests
 in ``tests/test_store.py``: ``put`` is latest-wins on duplicate keys,
 ``get``/``__contains__`` address by canonical key, and ``query`` filters on
 the indexed run coordinates (method/circuit/technology/seed).
@@ -155,10 +153,10 @@ def make_run_key(
 
 @dataclass
 class StoredRun:
-    """One (key, record) pair: the unit of iteration, export and file I/O.
+    """One (key, record) pair: the unit of iteration and export.
 
-    :meth:`to_dict`/:meth:`to_json` define the single serialized shape used
-    by the JSONL log and the CLI ``export`` command.
+    :meth:`to_dict` defines the serialized shape of the CLI ``export``
+    command.
     """
 
     key: RunKey
@@ -168,10 +166,6 @@ class StoredRun:
         """``{"key": ..., "record": ...}`` (JSON-serializable)."""
         return {"key": self.key.to_dict(), "record": self.record.to_dict()}
 
-    def to_json(self) -> str:
-        """One-line JSON form (the JSONL log format)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "StoredRun":
         from repro.experiments.records import RunRecord
@@ -180,10 +174,6 @@ class StoredRun:
             key=RunKey.from_dict(data["key"]),
             record=RunRecord.from_dict(data["record"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StoredRun":
-        return cls.from_dict(json.loads(text))
 
 
 class RunStore(abc.ABC):
@@ -214,7 +204,7 @@ class RunStore(abc.ABC):
 
     @abc.abstractmethod
     def clear(self) -> None:
-        """Drop every stored run."""
+        """Drop every stored run, checkpoint and quarantine marker."""
 
     def __contains__(self, key: RunKey) -> bool:
         return self.get(key) is not None
@@ -255,8 +245,8 @@ class RunStore(abc.ABC):
     # every K steps under the run's canonical key, resumes from it after a
     # kill, and the runner deletes it once the completed record is put.
     # The base implementation keeps checkpoints in process memory (enough
-    # for MemoryStore and same-process interruption workflows); durable
-    # backends override with on-disk storage.
+    # for MemoryStore and same-process interruption workflows); SqliteStore
+    # overrides it with its ``checkpoints`` table.
 
     def _checkpoint_rows(self) -> Dict[str, bytes]:
         rows = getattr(self, "_checkpoints", None)
@@ -287,7 +277,7 @@ class RunStore(abc.ABC):
     # attempts, worker id) so the scheduler stops handing the cell out, the
     # sweep drains instead of livelocking, and ``ls --status`` can show the
     # poison.  Deleting the entry re-queues the cell.  Like checkpoints,
-    # the base keeps entries in process memory; durable backends override.
+    # the base keeps entries in process memory; SqliteStore overrides.
 
     def _quarantine_rows(self) -> Dict[str, Dict]:
         rows = getattr(self, "_quarantine", None)
@@ -315,15 +305,6 @@ class RunStore(abc.ABC):
     def clear_quarantine(self) -> None:
         """Lift every quarantine."""
         self._quarantine_rows().clear()
-
-    def refresh(self) -> None:
-        """Make other handles' writes visible to this one.
-
-        Backends that answer queries from a database (sqlite) or a shared
-        dict (memory) are always current and keep this a no-op; backends
-        with an in-memory index over a shared file (jsonl) re-read it.
-        Cluster workers call this before every scheduling scan.
-        """
 
     def close(self) -> None:
         """Release any resources (file handles, connections); idempotent."""

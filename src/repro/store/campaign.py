@@ -308,12 +308,12 @@ class Campaign:
                 ``executed`` may reach ``max_runs + 1`` and ``partial`` stay
                 0 — because a finished run cannot be un-executed.
             workers: Run the sweep distributed: spawn this many local worker
-                processes over the campaign's (directory-backed) store via
+                processes over the campaign's store directory via
                 :class:`repro.cluster.ClusterLauncher` and build the report
-                from the store afterwards.  Requires a jsonl or sqlite
-                store; incompatible with ``max_runs``/``max_steps``/
-                ``progress`` (per-cell progress prints on each worker's
-                stdout instead).
+                from the store afterwards.  Requires a
+                :class:`~repro.store.SqliteStore`; incompatible with
+                ``max_runs``/``max_steps``/``progress`` (per-cell progress
+                prints on each worker's stdout instead).
         """
         # Lazy import: repro.experiments.runner imports repro.store.
         from repro.experiments.runner import run_method
@@ -385,48 +385,38 @@ class Campaign:
             shared_evaluator.close()
         return report
 
-    def _store_location(self) -> tuple:
-        """``(backend, directory)`` of the bound store, for worker spawns."""
-        # Lazy imports keep repro.store.campaign free of backend modules.
-        from repro.store.jsonl import JsonlStore
+    def _store_directory(self) -> str:
+        """Directory of the bound store, for worker spawns."""
+        # Lazy import keeps repro.store.campaign free of backend modules.
         from repro.store.sqlite import SqliteStore
 
-        if isinstance(self.store, JsonlStore):
-            return "jsonl", self.store.directory
-        if isinstance(self.store, SqliteStore):
-            return "sqlite", self.store.directory
-        raise ValueError(
-            "a distributed sweep needs a directory-backed store (jsonl or "
-            f"sqlite) shared between workers; got {type(self.store).__name__}"
-        )
+        if not isinstance(self.store, SqliteStore):
+            raise ValueError(
+                "a distributed sweep needs a directory-backed (sqlite) store "
+                f"shared between workers; got {type(self.store).__name__}"
+            )
+        return self.store.directory
 
     def _run_cluster(self, workers: int, checkpoint_every: int) -> CampaignReport:
         """Execute the sweep with N worker processes over the shared store."""
         from repro.cluster import ClusterLauncher
-        from repro.store import open_run_store
 
-        backend, directory = self._store_location()
+        store_dir = self._store_directory()
         skipped_before = len(self.requests()) - len(self.pending())
         launcher = ClusterLauncher(
             self.spec,
-            store_dir=directory,
-            store_backend=backend,
+            store_dir=store_dir,
             workers=workers,
             settings=self.settings,
             evaluator_config=self.evaluator_config,
             checkpoint_every=checkpoint_every,
         )
         cluster = launcher.run()
-        # The workers wrote through their own store handles; re-read the
-        # directory through a fresh handle and refresh ours so this
-        # process's view includes everything the cluster produced.
-        self.store.refresh()
         report = CampaignReport(total=len(self.requests()))
-        with open_run_store(backend, directory) as verify:
-            for request in self.requests():
-                record = verify.get(self.key_for(request))
-                if record is not None:
-                    report.records.append(record)
+        for request in self.requests():
+            record = self.store.get(self.key_for(request))
+            if record is not None:
+                report.records.append(record)
         done = len(report.records)
         report.skipped = min(skipped_before, done)
         report.executed = done - report.skipped

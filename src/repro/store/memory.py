@@ -38,3 +38,4 @@ class MemoryStore(RunStore):
     def clear(self) -> None:
         self._rows.clear()
         self.clear_checkpoints()
+        self.clear_quarantine()

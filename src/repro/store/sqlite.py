@@ -1,18 +1,19 @@
-"""SQLite-backed :class:`RunStore` with indexed coordinate queries.
+"""The durable :class:`RunStore`: one SQLite database per store directory.
 
-For large campaigns (thousands of cells) the append-only JSONL log's
-replay-on-open and full-scan queries become the bottleneck; this backend
-keeps one ``runs.sqlite`` database per store directory with a composite
-index over (method, circuit, technology, seed), so membership tests and
-filtered queries stay O(log n) regardless of campaign size.  Writes are
-committed per ``put`` — a killed process loses at most the run in flight.
+Each store directory holds one ``runs.sqlite`` database: the runs, with a
+composite index over (method, circuit, technology, seed) so membership
+tests and filtered queries stay O(log n) regardless of campaign size, plus
+the mid-run checkpoints, the quarantine markers and the cluster's
+``leases`` table.  Writes are committed per ``put`` — a killed process
+loses at most the run in flight.
 
 The store is built for *concurrent* access: the optimization service's run
-workers, the CLI's ``ls``/``export`` and external readers may all hold
-handles on one database.  Every connection therefore enables WAL journal
-mode (readers never block the writer and vice versa) and a generous
-``busy_timeout``, so simultaneous commits queue instead of failing with
-``database is locked``.
+workers, cluster workers, the CLI's ``ls``/``export`` and external readers
+may all hold handles on one database.  Every connection therefore enables
+WAL journal mode (readers never block the writer and vice versa) and a
+generous ``busy_timeout``, so simultaneous commits queue instead of failing
+with ``database is locked``.  WAL coordinates through shared memory, so
+every process sharing a store must run on the same host.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ DB_NAME = "runs.sqlite"
 
 #: Milliseconds a connection waits on a locked database before erroring.
 BUSY_TIMEOUT_MS = 10_000
+
+#: Run log of the retired JSONL store; directories holding one are refused.
+JSONL_LOG_NAME = "runs.jsonl"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -88,11 +92,30 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def reject_jsonl_directory(directory) -> None:
+    """Refuse a store directory written by the retired JSONL store.
+
+    Such a directory has a ``runs.jsonl`` and no ``runs.sqlite``; opening it
+    would silently start an empty database beside the log and re-execute
+    every cell of the sweep.
+    """
+    directory = os.path.expanduser(str(directory))
+    log = os.path.join(directory, JSONL_LOG_NAME)
+    if os.path.exists(log) and not os.path.exists(os.path.join(directory, DB_NAME)):
+        raise ValueError(
+            f"{log} was written by the retired JSONL run store and this "
+            f"directory has no {DB_NAME}; re-run the sweep into a new store "
+            "directory (runs are deterministic, so the records come out "
+            "identical) or read this one with an older checkout"
+        )
+
+
 class SqliteStore(RunStore):
     """Directory-backed SQLite store (indexed, latest-wins upserts)."""
 
     def __init__(self, directory):
         self.directory = str(directory)
+        reject_jsonl_directory(self.directory)
         os.makedirs(self.directory, exist_ok=True)
         self.path = os.path.join(self.directory, DB_NAME)
         self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_MS / 1000.0)

@@ -34,8 +34,7 @@ from repro.optim.gaussian_process import (
 from repro.optim.mace import pareto_front_indices
 from repro.rl.agent import AgentConfig, GCNRLAgent
 from repro.rl.strategy import GCNRLStrategy
-from repro.store import MemoryStore, make_run_key
-from repro.store.jsonl import JsonlStore
+from repro.store import MemoryStore, SqliteStore, make_run_key
 
 
 class QuadraticEnvironment(SizingEnvironment):
@@ -358,7 +357,7 @@ class TestCheckpointResume:
         for name, value in reference_agent.critic.state_dict().items():
             assert np.array_equal(value, resumed_agent.critic.state_dict()[name])
 
-    def test_resume_across_jsonl_store_reopen(self, tmp_path):
+    def test_resume_across_sqlite_store_reopen(self, tmp_path):
         budget = 24
         key = make_run_key("es", "two_tia", "180nm", budget, 7)
         reference_env = make_env()
@@ -366,7 +365,7 @@ class TestCheckpointResume:
             EvolutionStrategy(reference_env, seed=7), budget=budget
         ).run()
 
-        store = JsonlStore(tmp_path / "store")
+        store = SqliteStore(tmp_path / "store")
         killed_env = make_env()
         OptimizationDriver(
             EvolutionStrategy(killed_env, seed=7),
@@ -377,7 +376,7 @@ class TestCheckpointResume:
         ).run(max_steps=1)
         store.close()
 
-        reopened = JsonlStore(tmp_path / "store")
+        reopened = SqliteStore(tmp_path / "store")
         resumed_env = make_env()
         driver = OptimizationDriver(
             EvolutionStrategy(resumed_env, seed=7),

@@ -60,7 +60,7 @@ from repro.service import (
 from repro.service.protocol import error_frame
 from repro.store import Campaign, CampaignSpec, MemoryStore, open_run_store
 
-STORE_BACKENDS = ("memory", "jsonl", "sqlite")
+STORE_BACKENDS = ("memory", "sqlite")
 
 
 def _requests(count: int, seed: int = 7, circuit_name: str = "two_tia"):
@@ -613,7 +613,7 @@ class TestClusterResilience:
 
     def test_ls_status_reports_quarantined_cells(self, tmp_path, capsys):
         spec = tiny_spec()
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             campaign = Campaign(spec, store)
             key = campaign.key_for(campaign.requests()[0])
             store.put_quarantine(key, {"kind": "injected", "message": "x"})

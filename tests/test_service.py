@@ -240,7 +240,7 @@ class TestRuns:
 # --- journal / adoption -----------------------------------------------------------
 class TestJournal:
     def test_pending_from_journal_tolerates_torn_tail(self, tmp_path):
-        supervisor = RunSupervisor(store_backend="jsonl", store_dir=str(tmp_path))
+        supervisor = RunSupervisor(store_dir=str(tmp_path))
         done = JobSpec(
             job_id="aaa", method="es", circuit="two_tia", technology="180nm",
             steps=4, seed=0, checkpoint_every=1,

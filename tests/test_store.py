@@ -1,9 +1,10 @@
 """Tests for the run store subsystem (repro.store).
 
 Covers RunRecord/RunKey serialization round-trips, the backend conformance
-contract (the same semantics for Memory/Jsonl/Sqlite), persistence across
-reopen, the runner's store integration (including the evaluator-leak and
-falsy-zero fixes), campaign expansion and kill-and-resume, and the store CLI.
+contract (the same semantics for Memory/Sqlite), persistence across reopen,
+the refusal of JSONL-era store directories, the runner's store integration
+(including the evaluator-leak and falsy-zero fixes), campaign expansion and
+kill-and-resume, and the store CLI.
 """
 
 import json
@@ -23,7 +24,6 @@ from repro.experiments.__main__ import main as cli_main
 from repro.store import (
     Campaign,
     CampaignSpec,
-    JsonlStore,
     MemoryStore,
     RunKey,
     SqliteStore,
@@ -32,7 +32,7 @@ from repro.store import (
     open_run_store,
 )
 
-PERSISTENT_BACKENDS = ("jsonl", "sqlite")
+PERSISTENT_BACKENDS = ("sqlite",)
 
 
 def sample_key(seed=0, method="random", **overrides):
@@ -197,54 +197,20 @@ class TestStoreConformance:
         store.clear()
         assert len(store) == 0 and store.get(sample_key()) is None
 
+    def test_clear_drops_runs_checkpoints_and_quarantine(self, store):
+        store.put(sample_key(seed=0), sample_record())
+        store.put_checkpoint(sample_key(seed=1), b"blob")
+        store.put_quarantine(sample_key(seed=2), {"kind": "injected"})
+        store.clear()
+        assert len(store) == 0
+        assert store.get_checkpoint(sample_key(seed=1)) is None
+        assert store.get_quarantine(sample_key(seed=2)) is None
+        assert store.quarantine_ids() == []
+
     def test_context_manager_and_describe(self, store):
         with store as st:
             st.put(sample_key(), sample_record())
             assert "1" in st.describe()
-
-    def test_refresh_is_safe_on_every_backend(self, store):
-        store.put(sample_key(), sample_record())
-        store.refresh()
-        assert len(store) == 1
-
-
-class TestJsonlRefresh:
-    """refresh() makes other handles' appends visible (cluster workers)."""
-
-    def test_refresh_sees_sibling_appends(self, tmp_path):
-        first = JsonlStore(tmp_path)
-        second = JsonlStore(tmp_path)
-        second.put(sample_key(seed=1), sample_record(seed=1))
-        # The sibling's append is invisible until the stale handle refreshes.
-        assert first.get(sample_key(seed=1)) is None
-        first.refresh()
-        assert first.get(sample_key(seed=1)) is not None
-        first.close(), second.close()
-
-    def test_refresh_skips_torn_tail_without_truncating(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        store.put(sample_key(seed=1), sample_record(seed=1))
-        # Simulate another worker's append caught mid-write.
-        with open(store.path, "a", encoding="utf-8") as log:
-            log.write('{"key": {"meth')
-        size_before = len(open(store.path).read())
-        store.refresh()
-        # The complete rows replay; the in-flight line is neither indexed
-        # nor destroyed (a concurrent writer may still be finishing it).
-        assert len(store) == 1
-        assert len(open(store.path).read()) == size_before
-        store.close()
-
-    def test_refresh_still_raises_on_mid_log_corruption(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        store.put(sample_key(seed=1), sample_record(seed=1))
-        store.put(sample_key(seed=2), sample_record(seed=2))
-        data = open(store.path).readlines()
-        data[0] = data[0][:20] + "\n"  # damage a *middle* line
-        open(store.path, "w").writelines(data)
-        with pytest.raises(ValueError, match="corrupt"):
-            store.refresh()
-        store.close()
 
 
 class TestCheckpointConformance:
@@ -313,60 +279,29 @@ class TestPersistence:
         with open_run_store(backend, directory) as store:
             assert store.get(key).best_reward == 5.0 and len(store) == 1
 
-    def test_jsonl_replay_skips_blank_lines(self, tmp_path):
-        directory = tmp_path / "store"
-        with open_run_store("jsonl", directory) as store:
-            store.put(sample_key(), sample_record())
-        with open((directory / "runs.jsonl"), "a", encoding="utf-8") as handle:
-            handle.write("\n")
-        with open_run_store("jsonl", directory) as store:
-            assert len(store) == 1
-
-    def test_jsonl_truncated_final_line_is_recovered(self, tmp_path):
-        directory = tmp_path / "store"
-        with open_run_store("jsonl", directory) as store:
-            store.put(sample_key(), sample_record())
-        # Simulate a process killed mid-append: a partial trailing line.
-        with open(directory / "runs.jsonl", "a", encoding="utf-8") as handle:
-            handle.write('{"key": {"method": "es", "circ')
-        with open_run_store("jsonl", directory) as store:
-            assert len(store) == 1
-            store.put(sample_key(seed=1), sample_record(seed=1))
-        # The partial line was trimmed, so the healed log replays cleanly.
-        with open_run_store("jsonl", directory) as store:
-            assert len(store) == 2
-
-    def test_jsonl_mid_log_corruption_raises(self, tmp_path):
-        directory = tmp_path / "store"
-        with open_run_store("jsonl", directory) as store:
-            store.put(sample_key(), sample_record())
-        log = directory / "runs.jsonl"
-        log.write_text("not json at all\n" + log.read_text())
-        with pytest.raises(ValueError, match="corrupt run-store log"):
-            open_run_store("jsonl", directory)
-
-    def test_jsonl_complete_final_line_with_bad_schema_raises(self, tmp_path):
-        # A newline-terminated, valid-JSON final line that merely fails to
-        # deserialize is NOT a mid-append kill; it must never be deleted.
-        directory = tmp_path / "store"
-        with open_run_store("jsonl", directory) as store:
-            store.put(sample_key(), sample_record())
-        log = directory / "runs.jsonl"
-        before = log.read_text()
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write('{"key": {"method": "es"}}\n')
-        with pytest.raises(ValueError, match="corrupt run-store log"):
-            open_run_store("jsonl", directory)
-        assert log.read_text().startswith(before)  # nothing was truncated
-
     def test_factory_rejects_unknown_backend_and_missing_dir(self, tmp_path):
         with pytest.raises(ValueError):
             open_run_store("redis", tmp_path)
         with pytest.raises(ValueError):
-            open_run_store("jsonl")
+            open_run_store("jsonl", tmp_path)
+        with pytest.raises(ValueError):
+            open_run_store("sqlite")
         assert isinstance(open_run_store(), MemoryStore)
-        assert isinstance(open_run_store("jsonl", tmp_path / "a"), JsonlStore)
         assert isinstance(open_run_store("sqlite", tmp_path / "b"), SqliteStore)
+
+    def test_jsonl_era_directory_is_refused(self, tmp_path, capsys):
+        directory = tmp_path / "old-store"
+        directory.mkdir()
+        (directory / "runs.jsonl").write_text('{"key": {}, "record": {}}\n')
+        with pytest.raises(ValueError, match="runs.jsonl"):
+            open_run_store("sqlite", directory)
+        with pytest.raises(SystemExit):
+            cli_main(["sweep", "--store-dir", str(directory)])
+        err = capsys.readouterr().err
+        assert "runs.jsonl" in err and "re-run the sweep" in err
+        assert "Traceback" not in err
+        # Refused before anything was created beside the old log.
+        assert not (directory / "runs.sqlite").exists()
 
 
 class TestRunnerStoreIntegration:
@@ -379,7 +314,7 @@ class TestRunnerStoreIntegration:
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(runner_module, "build_environment", counting_build)
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             first = run_method("random", "two_tia", steps=3, seed=0, store=store)
             second = run_method("random", "two_tia", steps=3, seed=0, store=store)
         assert len(builds) == 1
@@ -398,7 +333,7 @@ class TestRunnerStoreIntegration:
             assert cached.rewards == [float(r) for r in first.rewards]
 
     def test_use_cache_false_still_writes_explicit_store(self, tmp_path):
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             run_method("human", "two_tia", seed=0, store=store, use_cache=False)
             assert len(store) == 1
 
@@ -494,7 +429,7 @@ class TestCampaign:
         assert len(spec.expand()) == 2 * (1 + 2)
 
     def test_full_sweep_then_all_skipped(self, tmp_path):
-        store = open_run_store("jsonl", tmp_path / "store")
+        store = open_run_store("sqlite", tmp_path / "store")
         campaign = Campaign(tiny_spec(), store)
         report = campaign.run()
         assert report.total == 3 and report.executed == 3 and report.skipped == 0
@@ -512,17 +447,17 @@ class TestCampaign:
     def test_interrupted_campaign_resumes_bit_identical(self, tmp_path):
         spec = tiny_spec()
         # Uninterrupted reference sweep.
-        with open_run_store("jsonl", tmp_path / "ref") as ref_store:
+        with open_run_store("sqlite", tmp_path / "ref") as ref_store:
             reference = Campaign(spec, ref_store).run()
 
         # Sweep killed after one execution...
-        with open_run_store("jsonl", tmp_path / "resume") as store:
+        with open_run_store("sqlite", tmp_path / "resume") as store:
             partial = Campaign(spec, store).run(max_runs=1)
             assert partial.interrupted
             assert partial.executed == 1 and partial.remaining == 2
 
         # ...then restarted against the same directory in a fresh handle.
-        with open_run_store("jsonl", tmp_path / "resume") as store:
+        with open_run_store("sqlite", tmp_path / "resume") as store:
             resumed = Campaign(spec, store).run()
             assert resumed.executed == 2 and resumed.skipped == 1
             assert not resumed.interrupted
@@ -541,10 +476,10 @@ class TestCampaign:
         # pauses with a checkpoint; the next sweep resumes it mid-run.
         spec = tiny_spec(methods=["human", "random", "es"], seeds=1, steps=20)
 
-        with open_run_store("jsonl", tmp_path / "ref") as ref_store:
+        with open_run_store("sqlite", tmp_path / "ref") as ref_store:
             reference = Campaign(spec, ref_store).run()
 
-        with open_run_store("jsonl", tmp_path / "resume") as store:
+        with open_run_store("sqlite", tmp_path / "resume") as store:
             outcomes = []
             partial = Campaign(spec, store).run(
                 max_runs=2,
@@ -563,13 +498,13 @@ class TestCampaign:
             assert store.get(es_key) is None
             assert store.get_checkpoint(es_key) is not None
 
-        with open_run_store("jsonl", tmp_path / "resume") as store:
+        with open_run_store("sqlite", tmp_path / "resume") as store:
             resumed = Campaign(spec, store).run()
             assert resumed.executed == 1 and resumed.skipped == 2
             # The completed record superseded the mid-run checkpoint.
             assert store.get_checkpoint(spec.expand()[-1].key()) is None
 
-        with open_run_store("jsonl", tmp_path / "resume") as store:
+        with open_run_store("sqlite", tmp_path / "resume") as store:
             final = Campaign(spec, store).run()
         assert final.executed == 0 and final.skipped == 3
         for ours, theirs in zip(final.records, reference.records):
@@ -579,7 +514,7 @@ class TestCampaign:
             assert ours.step_evaluations == theirs.step_evaluations
 
     def test_max_steps_requires_max_runs(self, tmp_path):
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             with pytest.raises(ValueError, match="max_runs"):
                 Campaign(tiny_spec(), store).run(max_steps=1)
 
@@ -595,7 +530,7 @@ class TestCampaign:
         settings.transfer_targets = ["250nm"]
 
         clear_transfer_cache()
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             first = technology_transfer_experiment("two_tia", settings, store=store)
 
         # "New process": in-process caches gone, only the store remains —
@@ -606,7 +541,7 @@ class TestCampaign:
             raise AssertionError("pretrain_weights ran despite a full store")
 
         monkeypatch.setattr(transfer, "pretrain_weights", no_pretrain)
-        with open_run_store("jsonl", tmp_path / "store") as store:
+        with open_run_store("sqlite", tmp_path / "store") as store:
             second = technology_transfer_experiment("two_tia", settings, store=store)
         for target in settings.transfer_targets:
             for ours, theirs in zip(
@@ -691,11 +626,6 @@ class TestStoreCLI:
         out = capsys.readouterr().out
         assert "no store configured" in out and "sweep" not in out
 
-    def test_persistent_backend_without_dir_fails_fast(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["ls", "--store-backend", "jsonl"])
-        assert "requires --store-dir" in capsys.readouterr().err
-
     def test_env_store_dir_alone_implies_persistent_backend(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -705,7 +635,7 @@ class TestStoreCLI:
         assert cli_main(["sweep", "--steps", "3", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "sweep complete: total=2 executed=2" in out
-        assert (store_dir / "runs.jsonl").exists()  # not a throwaway MemoryStore
+        assert (store_dir / "runs.sqlite").exists()  # not a throwaway MemoryStore
 
     def test_table1_reuses_sweep_store(self, tmp_path, capsys, monkeypatch):
         self._env(monkeypatch)
