@@ -117,7 +117,7 @@ def record_backend(
     """Merge one backend's throughput into the benchmark report.
 
     Args:
-        backend: Backend label (``serial``, ``batched``, ``parallel``,
+        backend: Backend label (``serial``, ``batched_local``,
             ``vectorized``, ...).
         designs_per_sec: Measured evaluation throughput.
         batch_size: Designs per ``evaluate_batch`` call during the run.

@@ -86,7 +86,8 @@ def demo_kill_and_resume(budget: int) -> None:
     store = MemoryStore()
     key = make_run_key("es", "two_tia", "180nm", budget, 0)
 
-    # First "process": checkpoint every step, killed after 2 ask/tell steps.
+    # First run, standing in for a killed process: checkpoint every step,
+    # stop after 2 ask/tell steps.
     environment = build_environment("two_tia", "180nm")
     try:
         driver = OptimizationDriver(
@@ -110,8 +111,9 @@ def demo_kill_and_resume(budget: int) -> None:
     finally:
         environment.evaluator.close()
 
-    # Second "process": a *fresh* strategy + environment resume from the
-    # stored checkpoint (strategy state + history + RNG stream) and finish.
+    # Second run, standing in for a new process: a *fresh* strategy +
+    # environment resume from the stored checkpoint (strategy state +
+    # history + RNG stream) and finish.
     environment = build_environment("two_tia", "180nm")
     try:
         driver = OptimizationDriver(

@@ -25,7 +25,8 @@ from repro.circuits.base import CircuitDesign, MetricDef
 from repro.circuits.builders import add_sized_components, mos_sizing
 from repro.circuits.library import register_circuit
 from repro.circuits.parameters import Sizing
-from repro.env import SizingEnvironment, default_fom_config
+from repro.env import SizingEnvironment, calibrate_normalization, default_fom_config
+from repro.experiments import OptimizationDriver
 from repro.optim import BayesianOptimization, RandomSearch
 from repro.rl import AgentConfig, GCNRLAgent
 from repro.spice import (
@@ -122,7 +123,10 @@ def main() -> None:
     circuit = get_circuit("five_t_ota", "65nm")
     print(circuit.describe())
 
-    fom = default_fom_config(circuit, num_calibration_samples=50)
+    # Calibrate the FoM ranges in memory only: the on-disk calibration cache
+    # lives inside the installed package and is reserved for its circuits.
+    normalization = calibrate_normalization(circuit, num_samples=50, use_cache=False)
+    fom = default_fom_config(circuit, normalization=normalization)
     print("\nOptimizing with three different methods "
           f"({args.steps} simulations each):")
 
@@ -132,7 +136,8 @@ def main() -> None:
         ("bayesian opt.", lambda env: BayesianOptimization(env, seed=0)),
     ):
         environment = SizingEnvironment(circuit, fom)
-        results[label] = factory(environment).run(args.steps).best_reward
+        driver = OptimizationDriver(factory(environment), budget=args.steps)
+        results[label] = driver.run().best_reward
 
     environment = SizingEnvironment(circuit, fom)
     agent = GCNRLAgent(

@@ -8,7 +8,7 @@ every simulator call goes through, and a store-backed campaign sweep that
 persists runs and resumes without re-executing finished cells.
 
 Usage:
-    python examples/quickstart.py [--steps 150] [--workers 4] [--cache-size 256]
+    python examples/quickstart.py [--steps 150] [--cache-size 256]
     python examples/quickstart.py --eval-backend vectorized   # stacked solves
     python examples/quickstart.py --store-dir runs   # persist the demo sweep
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.circuits import get_circuit
 from repro.env import SizingEnvironment, default_fom_config
-from repro.eval import EvaluatorConfig
+from repro.eval import BACKENDS, EvaluatorConfig
 from repro.rl import AgentConfig, GCNRLAgent
 from repro.store import Campaign, CampaignSpec, open_run_store
 
@@ -33,18 +33,11 @@ def main() -> None:
     parser.add_argument("--circuit", default="two_tia", help="benchmark circuit name")
     parser.add_argument("--technology", default="180nm", help="technology node")
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="evaluate batches on a process pool of this size (0 = serial)",
-    )
-    parser.add_argument(
         "--eval-backend",
-        choices=["local", "thread", "process", "vectorized"],
-        default=None,
+        choices=BACKENDS,
+        default="local",
         help="evaluation backend; 'vectorized' stamps whole batches into "
-        "stacked matrices and solves them with single LAPACK calls "
-        "(default: local, or process when --workers is set)",
+        "stacked matrices and solves them with single LAPACK calls",
     )
     parser.add_argument(
         "--cache-size", type=int, default=0, help="LRU design cache (0 = off)"
@@ -58,14 +51,11 @@ def main() -> None:
 
     # 1) Pick a circuit and a technology node and wrap them in an environment.
     #    Every simulator call goes through one Evaluator: serial by default,
-    #    a process pool and/or an LRU cache when requested.
+    #    stacked vectorized solves and/or an LRU cache when requested.
     circuit = get_circuit(args.circuit, args.technology)
     print(circuit.describe())
-    backend = args.eval_backend or ("process" if args.workers else "local")
     evaluator = EvaluatorConfig(
-        backend=backend,
-        max_workers=args.workers or None,
-        cache_size=args.cache_size,
+        backend=args.eval_backend, cache_size=args.cache_size
     ).build(circuit)
     print(f"Evaluator: {evaluator.describe()}")
     environment = SizingEnvironment(

@@ -148,7 +148,6 @@ class ClusterLauncher:
             evaluator = self.settings.evaluator_config()
         if evaluator is not None:
             env["REPRO_EVAL_BACKEND"] = evaluator.backend
-            env["REPRO_EVAL_WORKERS"] = str(evaluator.max_workers or 0)
             env["REPRO_EVAL_CACHE"] = str(evaluator.cache_size)
         return env
 

@@ -241,8 +241,8 @@ class CampaignWorker:
     def _shared_evaluator(self):
         """One evaluator for every cell this worker executes (lazy).
 
-        Each run binds a per-circuit view of it, so caches, pools and
-        (vectorized) request batches persist across the worker's cells.
+        Each run binds a per-circuit view of it, so caches and (vectorized)
+        request batches persist across the worker's cells.
         """
         if self._evaluator is None:
             from repro.eval import EvaluatorConfig

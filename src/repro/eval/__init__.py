@@ -6,9 +6,8 @@ and the canonical entry point is ``evaluate_requests``, which accepts an
 arbitrarily mixed batch and returns results in request order; the
 per-circuit ``evaluate_batch`` is a thin adapter over it.
 
-* :class:`LocalEvaluator` — serial in-process reference implementation.
-* :class:`ParallelEvaluator` — process/thread pool fan-out with
-  deterministic result ordering.
+* :class:`LocalEvaluator` — serial in-process reference implementation
+  (the scalar engine, one design at a time).
 * :class:`CachingEvaluator` — LRU cache keyed on
   :func:`request_cache_key` (circuit, technology, quantized sizing),
   wrapping any other evaluator.
@@ -20,6 +19,9 @@ per-circuit ``evaluate_batch`` is a thin adapter over it.
   through one evaluator.
 * :class:`EvaluatorConfig` / :func:`build_evaluator` — declarative
   construction of the stack, shared by the CLI and the experiment runner.
+
+The local and vectorized evaluators are the two backends (:data:`BACKENDS`);
+the cache wraps either.
 """
 
 from repro.eval.base import (
@@ -32,7 +34,6 @@ from repro.eval.base import (
 from repro.eval.caching import CachingEvaluator, request_cache_key, sizing_cache_key
 from repro.eval.config import BACKENDS, EvaluatorConfig, build_evaluator
 from repro.eval.local import LocalEvaluator
-from repro.eval.parallel import ParallelEvaluator
 from repro.eval.vectorized import VectorizedEvaluator
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "EvaluatorStats",
     "BoundEvaluator",
     "LocalEvaluator",
-    "ParallelEvaluator",
     "CachingEvaluator",
     "VectorizedEvaluator",
     "EvaluatorConfig",

@@ -14,15 +14,16 @@ evaluation contract that decouples *what* is evaluated from *how*:
   *mixed* batch (any circuits, any technologies, interleaved) and returns
   results in request order; backends implement the per-circuit hook
   :meth:`Evaluator._evaluate_bucket` and inherit the bucketing/scatter
-  machinery.  The per-circuit :meth:`Evaluator.evaluate_batch` is a thin
-  adapter that wraps sizings as requests for the bound circuit, so all
-  pre-``EvalRequest`` call sites keep working unchanged.
+  machinery, while wrappers (cache, resilience, chaos) override
+  ``evaluate_requests`` itself.  The per-circuit
+  :meth:`Evaluator.evaluate_batch` is a thin adapter that wraps sizings as
+  requests for the bound circuit.
 * :class:`BoundEvaluator` — a per-circuit view of a shared evaluator, so
   many environments (campaign cells, service buckets) can funnel traffic
   into one evaluator whose lifetime outlives each of them.
 
 Implementations must be *deterministic in order*: ``evaluate_requests(r)[i]``
-always corresponds to ``r[i]``, whatever bucketing, parallelism or caching
+always corresponds to ``r[i]``, whatever bucketing, stacking or caching
 happens underneath, so optimization histories are reproducible bit-for-bit.
 """
 
@@ -219,27 +220,12 @@ class Evaluator(abc.ABC):
                 self._circuits[key] = circuit
         return circuit
 
-    def _legacy_batch_only(self) -> bool:
-        """Whether a subclass predates ``EvalRequest`` (batch override only).
-
-        Subclasses written against the per-circuit API override
-        ``evaluate_batch`` and nothing else; ``evaluate_requests`` then
-        routes bound-circuit batches through their override instead of the
-        bucket hook (same idiom as ``SizingEnvironment._scalar_override``).
-        """
-        cls = type(self)
-        return (
-            cls.evaluate_batch is not Evaluator.evaluate_batch
-            and cls._evaluate_bucket is Evaluator._evaluate_bucket
-        )
-
     def _evaluate_bucket(
         self, circuit: CircuitDesign, sizings: Sequence[Sizing]
     ) -> List[EvalResult]:
         """Evaluate one topology-compatible group; backends implement this."""
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither _evaluate_bucket() "
-            "nor evaluate_batch()"
+            f"{type(self).__name__} does not implement _evaluate_bucket()"
         )
 
     def evaluate_requests(
@@ -254,27 +240,6 @@ class Evaluator(abc.ABC):
         """
         requests = list(requests)
         start = time.perf_counter()
-        if self._legacy_batch_only():
-            circuit = self.circuit
-            home = (circuit.name.lower(), circuit.technology.name)
-            foreign = sorted(
-                {
-                    f"{r.circuit}/{r.technology}"
-                    for r in requests
-                    if r.bucket != home
-                }
-            )
-            if foreign:
-                # API misuse (mixed batch sent to a legacy bound evaluator)
-                # raised before anything is simulated, so no failure kind.
-                raise ValueError(  # repro-lint: ignore[failure-taxonomy]
-                    f"{type(self).__name__} overrides evaluate_batch() only "
-                    f"and is bound to {circuit.name!r}/"
-                    f"{circuit.technology.name}; cannot serve requests for "
-                    f"{', '.join(foreign)}"
-                )
-            return self.evaluate_batch([r.sizing for r in requests])
-
         buckets: Dict[Tuple[str, str], List[int]] = {}
         for index, request in enumerate(requests):
             buckets.setdefault(request.bucket, []).append(index)
@@ -320,7 +285,7 @@ class Evaluator(abc.ABC):
         return None
 
     def close(self) -> None:
-        """Release any resources (worker pools); safe to call repeatedly."""
+        """Release any resources the evaluator holds; safe to call repeatedly."""
 
     def __enter__(self) -> "Evaluator":
         return self

@@ -66,8 +66,8 @@ class CachingEvaluator(Evaluator):
 
     Args:
         inner: The evaluator that performs cache-miss simulations (its own
-            batching/parallelism is preserved — all misses of a batch are
-            forwarded in a single inner batch).  May be unbound, in which
+            batching is preserved — all misses of a batch are forwarded in
+            a single inner batch).  May be unbound, in which
             case this wrapper is unbound too and serves mixed requests.
         max_size: Maximum number of cached designs; least-recently-used
             entries are evicted beyond it.

@@ -1,9 +1,9 @@
 """Declarative evaluator configuration, shared by the CLI and the runner.
 
 An :class:`EvaluatorConfig` describes *how* designs should be evaluated —
-serial, thread pool, process pool, with or without an LRU cache — without
-holding any resources itself, so it can live in experiment settings, be
-hashed into run-cache keys and be built once per circuit.
+serial scalar solves or stacked vectorized ones, with or without an LRU
+cache — without holding any resources itself, so it can live in experiment
+settings, be hashed into run-cache keys and be built once per circuit.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from repro.circuits.base import CircuitDesign
 from repro.eval.base import Evaluator
 from repro.eval.caching import CachingEvaluator
 from repro.eval.local import LocalEvaluator
-from repro.eval.parallel import ParallelEvaluator
 from repro.eval.vectorized import VectorizedEvaluator
 
 #: Recognised evaluation backends.
-BACKENDS = ("local", "thread", "process", "vectorized")
+BACKENDS = ("local", "vectorized")
 
 
 @dataclass(frozen=True)
@@ -27,18 +26,14 @@ class EvaluatorConfig:
     """How to build the evaluator stack for a run.
 
     Attributes:
-        backend: ``"local"`` (serial, in-process), ``"thread"`` or
-            ``"process"`` (worker pools), or ``"vectorized"`` (stacked
-            batched solves through :mod:`repro.spice.batch`).
-        max_workers: Pool size for the pool backends; ``None`` means the
-            machine's CPU count.  Ignored by the local and vectorized
-            backends.
+        backend: ``"local"`` (serial, in-process scalar engine) or
+            ``"vectorized"`` (stacked batched solves through
+            :mod:`repro.spice.batch`).
         cache_size: When positive, wrap the base evaluator in a
             :class:`CachingEvaluator` with this capacity.
     """
 
     backend: str = "local"
-    max_workers: Optional[int] = None
     cache_size: int = 0
 
     def __post_init__(self):
@@ -46,8 +41,6 @@ class EvaluatorConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
 
@@ -59,21 +52,21 @@ class EvaluatorConfig:
         :class:`~repro.eval.base.EvalRequest` batches — one shared evaluator
         for a whole campaign or service.
         """
-        if self.backend == "local":
-            evaluator: Evaluator = LocalEvaluator(circuit)
-        elif self.backend == "vectorized":
-            evaluator = VectorizedEvaluator(circuit)
+        if self.backend == "vectorized":
+            evaluator: Evaluator = VectorizedEvaluator(circuit)
         else:
-            evaluator = ParallelEvaluator(
-                circuit, max_workers=self.max_workers, backend=self.backend
-            )
+            evaluator = LocalEvaluator(circuit)
         if self.cache_size > 0:
             evaluator = CachingEvaluator(evaluator, max_size=self.cache_size)
         return evaluator
 
     def cache_key(self) -> Tuple:
         """Canonical hashable form for run-cache keys."""
-        return ("evaluator", self.backend, self.max_workers, self.cache_size)
+        # The ``None`` fills the slot of the retired worker-pool size, so
+        # stores and checkpoints written before the pool backends were
+        # removed (including journaled service jobs re-adopted by an
+        # upgraded server) keep matching their run keys.
+        return ("evaluator", self.backend, None, self.cache_size)
 
 
 def build_evaluator(

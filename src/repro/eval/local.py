@@ -13,7 +13,6 @@ class LocalEvaluator(Evaluator):
     """Evaluates each design serially through ``circuit.evaluate``.
 
     This is the behaviour every optimizer had before the batched API existed;
-    :class:`~repro.eval.parallel.ParallelEvaluator`,
     :class:`~repro.eval.caching.CachingEvaluator` and
     :class:`~repro.eval.vectorized.VectorizedEvaluator` are verified against
     it.  Unbound (``LocalEvaluator()``), it serves arbitrarily mixed

@@ -47,9 +47,10 @@ from repro.spice.batch import (
 
 logger = logging.getLogger("repro.eval")
 
-#: Default cap on designs per stacked solve: bounds the ``(B, F, n, n)``
-#: tensor to a few tens of MB for the benchmark circuits.
-DEFAULT_MAX_BATCH = 64
+#: Designs per stacked solve: larger buckets are split into chunks of this
+#: size, which bounds the ``(B, F, n, n)`` AC tensor to a few tens of MB for
+#: the benchmark circuits.
+MAX_BATCH = 64
 
 
 class VectorizedEvaluator(Evaluator):
@@ -58,19 +59,10 @@ class VectorizedEvaluator(Evaluator):
     Args:
         circuit: The circuit design to simulate, or ``None`` for an unbound
             evaluator serving mixed request batches.
-        max_batch_size: Designs per stacked solve; larger buckets are split
-            into chunks of this size to bound the AC tensor's memory.
     """
 
-    def __init__(
-        self,
-        circuit: Optional[CircuitDesign] = None,
-        max_batch_size: int = DEFAULT_MAX_BATCH,
-    ):
+    def __init__(self, circuit: Optional[CircuitDesign] = None):
         super().__init__(circuit)
-        if max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        self.max_batch_size = max_batch_size
         self._warned_serial: Set[Tuple[str, str]] = set()
 
     # --- fallbacks ---------------------------------------------------------------
@@ -155,18 +147,10 @@ class VectorizedEvaluator(Evaluator):
         sizings = list(sizings)
         plan = circuit.analysis_plan()
         results: List[EvalResult] = []
-        for offset in range(0, len(sizings), self.max_batch_size):
-            chunk = sizings[offset : offset + self.max_batch_size]
+        for offset in range(0, len(sizings), MAX_BATCH):
+            chunk = sizings[offset : offset + MAX_BATCH]
             if plan is None:
                 results.extend(self._evaluate_stacked_chunk(circuit, chunk))
             else:
                 results.extend(self._evaluate_chunk(circuit, chunk, plan))
         return results
-
-    def describe(self) -> str:
-        """One-line summary used by logs and reports."""
-        target = self._circuit.name if self._circuit is not None else "mixed"
-        return (
-            f"VectorizedEvaluator({target}, "
-            f"max_batch_size={self.max_batch_size})"
-        )

@@ -40,6 +40,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.eval import BACKENDS
 from repro.experiments.config import ExperimentSettings
 from repro.optim.registry import list_optimizers, unknown_method_message
 from repro.experiments.figures import (
@@ -81,18 +82,13 @@ def _build_settings(args: argparse.Namespace) -> ExperimentSettings:
         settings.pretrain_steps = args.pretrain_steps
     if args.transfer_steps:
         settings.transfer_steps = args.transfer_steps
-    # Explicit None checks: 0 is a meaningful value for both flags
-    # (--workers 0 = CPU count, --cache-size 0 = caching off).
     if args.eval_backend:
         settings.eval_backend = args.eval_backend
-    # For the sweep target --workers means *campaign worker processes*
-    # (distributed execution over the shared store), not the evaluator
-    # pool; everywhere else it keeps its evaluator-pool meaning.
+    # --workers only sizes the sweep's campaign worker processes; anywhere
+    # else it would be silently ignored, so refuse it.
     if args.workers is not None and args.target != "sweep":
-        settings.eval_workers = args.workers
-        # --workers without an explicit backend implies real parallelism.
-        if not args.eval_backend and settings.eval_backend == "local":
-            settings.eval_backend = "process"
+        raise ValueError("--workers applies to sweep only")
+    # Explicit None check: --cache-size 0 (caching off) is meaningful.
     if args.cache_size is not None:
         settings.eval_cache_size = args.cache_size
     if args.store_dir:
@@ -235,7 +231,6 @@ def _service_config(settings: ExperimentSettings, args):
     return ServiceConfig(
         store_dir=settings.store_dir,
         eval_backend=settings.eval_backend,
-        eval_workers=settings.eval_workers,
         cache_size=cache,
         **kwargs,
     )
@@ -422,9 +417,8 @@ def main(argv: List[str] = None) -> int:
         type=int,
         default=None,
         help=(
-            "sweep: number of campaign worker processes over the shared "
-            "store (distributed execution); elsewhere: evaluator "
-            "worker-pool size (implies --eval-backend process)"
+            "sweep only: number of campaign worker processes over the "
+            "shared store (distributed execution)"
         ),
     )
     parser.add_argument(
@@ -435,7 +429,7 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--eval-backend",
-        choices=["local", "thread", "process", "vectorized"],
+        choices=BACKENDS,
         default=None,
         help="how simulator batches are evaluated",
     )

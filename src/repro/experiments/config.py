@@ -11,9 +11,9 @@ raised towards the paper's scale through environment variables:
 * ``REPRO_TRANSFER_STEPS`` — fine-tuning budget (paper: 300 = 100 warm-up +
   200 exploration).
 * ``REPRO_WARMUP_FRACTION`` — fraction of the budget used as RL warm-up.
-* ``REPRO_EVAL_BACKEND`` / ``REPRO_EVAL_WORKERS`` / ``REPRO_EVAL_CACHE`` —
-  evaluator stack used for every simulator call (see
-  :class:`repro.eval.EvaluatorConfig`).
+* ``REPRO_EVAL_BACKEND`` / ``REPRO_EVAL_CACHE`` — evaluator stack used for
+  every simulator call (see :class:`repro.eval.EvaluatorConfig`); an
+  unknown backend name raises ``ValueError``.
 * ``REPRO_STORE_DIR`` — directory of the persistent (SQLite) run store every
   completed run is written to (see :mod:`repro.store`).
 """
@@ -50,9 +50,11 @@ def _env_nonneg_int(name: str, default: int) -> int:
 
 def _env_choice(name: str, default: str, choices) -> str:
     value = os.environ.get(name)
-    if value in choices:
-        return value
-    return default
+    if not value:
+        return default
+    if value not in choices:
+        raise ValueError(f"{name}={value!r} is not one of {choices}")
+    return value
 
 
 def _env_float(name: str, default: float) -> float:
@@ -89,9 +91,7 @@ class ExperimentSettings:
         methods: Methods included in Table I / Figure 5.
         technology: Default technology node (paper designs at 180nm).
         transfer_targets: Target nodes of Table IV / Figure 7.
-        eval_backend: Evaluation backend (``local``, ``thread``, ``process``,
-            ``vectorized``).
-        eval_workers: Worker-pool size; 0 means the machine's CPU count.
+        eval_backend: Evaluation backend (``local`` or ``vectorized``).
         eval_cache_size: LRU design-cache capacity; 0 disables caching.
         store_dir: Run-store directory; empty keeps runs in process memory.
     """
@@ -128,9 +128,6 @@ class ExperimentSettings:
     eval_backend: str = field(
         default_factory=lambda: _env_choice("REPRO_EVAL_BACKEND", "local", BACKENDS)
     )
-    eval_workers: int = field(
-        default_factory=lambda: _env_nonneg_int("REPRO_EVAL_WORKERS", 0)
-    )
     eval_cache_size: int = field(
         default_factory=lambda: _env_nonneg_int("REPRO_EVAL_CACHE", 0)
     )
@@ -143,9 +140,7 @@ class ExperimentSettings:
     def evaluator_config(self) -> EvaluatorConfig:
         """The evaluator stack every run of this settings object uses."""
         return EvaluatorConfig(
-            backend=self.eval_backend,
-            max_workers=self.eval_workers or None,
-            cache_size=self.eval_cache_size,
+            backend=self.eval_backend, cache_size=self.eval_cache_size
         )
 
     def build_run_store(self) -> RunStore:

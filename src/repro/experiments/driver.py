@@ -11,7 +11,7 @@ scratch.
 Proposals are dispatched to the environment's batch entry points by kind
 (flat vectors, RL action matrices, physical sizings), so every simulator
 batch reaches the :class:`~repro.eval.Evaluator` in exactly the shape the
-strategy asked for — parallelism and caching stay below the method, and
+strategy asked for — stacking and caching stay below the method, and
 the batches are identical to the pre-redesign loops (verified by the
 parity tests in ``tests/test_driver.py``).
 """

@@ -269,7 +269,7 @@ def run_method(
         )
         result = driver.run(max_steps=max_steps)
     finally:
-        # Release worker pools even when the strategy/driver raises.  A
+        # Release the evaluator even when the strategy/driver raises.  A
         # shared evaluator's bound view makes this a no-op, so campaign-wide
         # evaluators survive their cells.
         environment.evaluator.close()

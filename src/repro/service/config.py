@@ -72,7 +72,6 @@ class ServiceConfig:
         eval_backend: Evaluator backend coalesced batches go through
             (``local`` is bit-identical to direct evaluation; ``vectorized``
             trades ~1e-12 FoM parity for the stacked-MNA speedup).
-        eval_workers: Worker-pool size for the pool backends (0 = CPU count).
         cache_size: Per-bucket LRU design cache; also the cross-client dedup
             substrate, so 0 disables stored-result dedup.
         checkpoint_every: Driver steps between run checkpoints (0 disables —
@@ -102,7 +101,6 @@ class ServiceConfig:
     )
     store_dir: str = ""
     eval_backend: str = "local"
-    eval_workers: int = 0
     cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_SERVE_CACHE", DEFAULT_CACHE_SIZE)
     )
@@ -190,11 +188,7 @@ class ServiceConfig:
 
     def evaluator_config(self) -> EvaluatorConfig:
         """The evaluator stack each coalescer bucket is built with."""
-        return EvaluatorConfig(
-            backend=self.eval_backend,
-            max_workers=self.eval_workers or None,
-            cache_size=self.cache_size,
-        )
+        return EvaluatorConfig(backend=self.eval_backend, cache_size=self.cache_size)
 
     def describe(self) -> str:
         """One-line summary used by the startup banner and logs."""

@@ -69,7 +69,6 @@ class JobSpec:
     seed: int
     checkpoint_every: int
     eval_backend: str = "local"
-    eval_workers: int = 0
     eval_cache_size: int = 0
     warmup: Optional[int] = None
 
@@ -83,7 +82,6 @@ class JobSpec:
             "seed": int(self.seed),
             "checkpoint_every": int(self.checkpoint_every),
             "eval_backend": self.eval_backend,
-            "eval_workers": int(self.eval_workers),
             "eval_cache_size": int(self.eval_cache_size),
         }
         if self.warmup is not None:
@@ -101,7 +99,6 @@ class JobSpec:
             seed=int(data["seed"]),
             checkpoint_every=int(data["checkpoint_every"]),
             eval_backend=data.get("eval_backend", "local"),
-            eval_workers=int(data.get("eval_workers", 0)),
             eval_cache_size=int(data.get("eval_cache_size", 0)),
             warmup=data.get("warmup"),
         )
@@ -246,7 +243,6 @@ class RunSupervisor:
                 else int(checkpoint_every)
             ),
             eval_backend=self.evaluator_config.backend,
-            eval_workers=self.evaluator_config.max_workers or 0,
             eval_cache_size=self.evaluator_config.cache_size,
             warmup=warmup,
         )
@@ -335,9 +331,7 @@ class RunSupervisor:
             loop.call_soon_threadsafe(self._publish, job, payload)
 
         config = EvaluatorConfig(
-            backend=spec.eval_backend,
-            max_workers=spec.eval_workers or None,
-            cache_size=spec.eval_cache_size,
+            backend=spec.eval_backend, cache_size=spec.eval_cache_size
         )
         store = self._open_store()
         try:

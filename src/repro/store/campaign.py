@@ -336,9 +336,9 @@ class Campaign:
         requests = self.requests()
         report = CampaignReport(total=len(requests))
         # One shared evaluator for the whole sweep: every cell's environment
-        # gets a no-op-close bound view of it, so caches, worker pools and
-        # (vectorized) request batches span circuits instead of being torn
-        # down and rebuilt per cell.
+        # gets a no-op-close bound view of it, so caches and (vectorized)
+        # request batches span circuits instead of being torn down and
+        # rebuilt per cell.
         shared_evaluator = (self.evaluator_config or EvaluatorConfig()).build()
         try:
             for request in requests:

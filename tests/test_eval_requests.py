@@ -17,7 +17,6 @@ from repro.circuits import get_circuit
 from repro.eval import (
     CachingEvaluator,
     EvalRequest,
-    EvalResult,
     Evaluator,
     LocalEvaluator,
     VectorizedEvaluator,
@@ -162,30 +161,13 @@ class TestEvaluateBatchAdapter:
         assert shared.stats.num_designs == 2
 
 
-class LegacyEvaluator(Evaluator):
-    """A pre-``EvalRequest`` subclass: overrides ``evaluate_batch`` only."""
+class TestBackendHook:
+    def test_missing_bucket_hook_is_named(self, two_tia):
+        class Hookless(Evaluator):
+            pass
 
-    def evaluate_batch(self, sizings):
-        return [
-            EvalResult(sizing=s, metrics=self.circuit.evaluate(s))
-            for s in sizings
-        ]
-
-
-class TestLegacySubclassGuard:
-    def test_bound_requests_route_through_batch_override(self, two_tia, rng):
-        legacy = LegacyEvaluator(two_tia)
-        sizing = two_tia.random_sizing(rng)
-        results = legacy.evaluate_requests(
-            [EvalRequest("two_tia", "180nm", sizing)]
-        )
-        assert results[0].metrics == two_tia.evaluate(sizing)
-
-    def test_foreign_requests_rejected_with_clear_error(self, two_tia):
-        legacy = LegacyEvaluator(two_tia)
-        request = EvalRequest("three_tia", "180nm", {})
-        with pytest.raises(ValueError, match="three_tia"):
-            legacy.evaluate_requests([request])
+        with pytest.raises(NotImplementedError, match=r"_evaluate_bucket\(\)$"):
+            Hookless(two_tia).evaluate(two_tia.expert_sizing())
 
 
 class TestRequestCacheKey:

@@ -11,20 +11,19 @@ from repro.eval import (
     EvalResult,
     EvaluatorConfig,
     LocalEvaluator,
-    ParallelEvaluator,
     VectorizedEvaluator,
     build_evaluator,
     sizing_cache_key,
 )
+from repro.eval import vectorized as vectorized_module
 from repro.experiments.driver import OptimizationDriver
-from repro.optim import EvolutionStrategy, RandomSearch
+from repro.experiments.runner import run_key_for
+from repro.optim import RandomSearch
 
 #: Every conformance backend: name -> evaluator factory.  ``caching+X``
 #: stacks the LRU cache over backend ``X``, exactly like EvaluatorConfig.
 CONFORMANCE_BACKENDS = {
     "local": lambda circuit: LocalEvaluator(circuit),
-    "thread": lambda circuit: ParallelEvaluator(circuit, max_workers=2, backend="thread"),
-    "process": lambda circuit: ParallelEvaluator(circuit, max_workers=2, backend="process"),
     "caching": lambda circuit: CachingEvaluator(LocalEvaluator(circuit), max_size=64),
     "vectorized": lambda circuit: VectorizedEvaluator(circuit),
     "caching+vectorized": lambda circuit: CachingEvaluator(
@@ -72,39 +71,6 @@ class TestLocalEvaluator:
         assert evaluator.stats.num_designs == len(sizings) + 1
         assert evaluator.stats.num_simulations == len(sizings) + 1
         assert evaluator.stats.total_time > 0
-
-
-class TestParallelEvaluator:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_bit_identical_to_local(self, two_tia, sizings, backend):
-        local = LocalEvaluator(two_tia).evaluate_batch(sizings)
-        with ParallelEvaluator(two_tia, max_workers=2, backend=backend) as pool:
-            parallel = pool.evaluate_batch(sizings)
-        for a, b in zip(local, parallel):
-            assert a.metrics == b.metrics  # exact, not approximate
-
-    def test_result_order_matches_input_order(self, two_tia, sizings):
-        with ParallelEvaluator(two_tia, max_workers=3, backend="thread") as pool:
-            results = pool.evaluate_batch(sizings)
-        for sizing, result in zip(sizings, results):
-            assert result.sizing is sizing
-
-    def test_single_worker_and_tiny_batch_run_inline(self, two_tia, sizings):
-        evaluator = ParallelEvaluator(two_tia, max_workers=1)
-        results = evaluator.evaluate_batch(sizings[:1])
-        assert len(results) == 1
-        assert evaluator._executor is None  # never spun up a pool
-
-    def test_unknown_backend_rejected(self, two_tia):
-        with pytest.raises(ValueError):
-            ParallelEvaluator(two_tia, backend="gpu")
-
-    def test_chunking_covers_every_index_contiguously(self, two_tia):
-        evaluator = ParallelEvaluator(two_tia, max_workers=4)
-        for count in (1, 2, 4, 5, 11):
-            slices = evaluator._chunks(count)
-            indices = [i for s in slices for i in range(count)[s]]
-            assert indices == list(range(count))
 
 
 class TestCachingEvaluator:
@@ -243,13 +209,21 @@ class TestVectorizedEvaluator:
         assert isinstance(evaluator, CachingEvaluator)
         assert isinstance(evaluator.inner, VectorizedEvaluator)
 
-    def test_rejects_invalid_chunk_size(self, two_tia):
-        with pytest.raises(ValueError):
-            VectorizedEvaluator(two_tia, max_batch_size=0)
-
-    def test_chunking_preserves_order_and_results(self, two_tia, sizings):
+    def test_chunking_preserves_order_and_results(
+        self, two_tia, sizings, monkeypatch
+    ):
         whole = VectorizedEvaluator(two_tia).evaluate_batch(sizings)
-        chunked = VectorizedEvaluator(two_tia, max_batch_size=2).evaluate_batch(sizings)
+        monkeypatch.setattr(vectorized_module, "MAX_BATCH", 2)
+        chunks = []
+        real_chunk = VectorizedEvaluator._evaluate_chunk
+
+        def spy(self, circuit, chunk, plan):
+            chunks.append(len(chunk))
+            return real_chunk(self, circuit, chunk, plan)
+
+        monkeypatch.setattr(VectorizedEvaluator, "_evaluate_chunk", spy)
+        chunked = VectorizedEvaluator(two_tia).evaluate_batch(sizings)
+        assert chunks == [2, 2, 2]
         for a, b in zip(whole, chunked):
             assert a.sizing is b.sizing
             for key in a.metrics:
@@ -265,12 +239,13 @@ class TestVectorizedEvaluator:
         assert vectorized[0].metrics == local[0].metrics  # exact: same code path
         assert evaluator.stats.scalar_fallbacks == 1
 
-    def test_ldo_takes_the_stacked_path(self):
+    def test_ldo_takes_the_stacked_path(self, monkeypatch):
         ldo = get_circuit("ldo")
         assert ldo.analysis_plan() is None
         rng = np.random.default_rng(4)
         sizings = [ldo.expert_sizing(), ldo.random_sizing(rng), ldo.random_sizing(rng)]
-        evaluator = VectorizedEvaluator(ldo, max_batch_size=2)
+        monkeypatch.setattr(vectorized_module, "MAX_BATCH", 2)
+        evaluator = VectorizedEvaluator(ldo)
         vectorized = evaluator.evaluate_batch(sizings)
         local = LocalEvaluator(ldo).evaluate_batch(sizings)
         assert [r.metrics for r in vectorized] == [r.metrics for r in local]
@@ -334,29 +309,34 @@ class TestEvaluatorConfig:
     def test_build_local_default(self, two_tia):
         assert isinstance(build_evaluator(two_tia), LocalEvaluator)
 
-    def test_build_composes_cache_over_pool(self, two_tia):
-        config = EvaluatorConfig(backend="thread", max_workers=2, cache_size=16)
-        evaluator = config.build(two_tia)
-        assert isinstance(evaluator, CachingEvaluator)
-        assert isinstance(evaluator.inner, ParallelEvaluator)
-        assert evaluator.inner.max_workers == 2
-        evaluator.close()
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             EvaluatorConfig(backend="quantum")
-        with pytest.raises(ValueError):
-            EvaluatorConfig(max_workers=0)
         with pytest.raises(ValueError):
             EvaluatorConfig(cache_size=-1)
 
     def test_cache_keys_distinguish_configs(self):
         keys = {
             EvaluatorConfig().cache_key(),
-            EvaluatorConfig(backend="process", max_workers=4).cache_key(),
+            EvaluatorConfig(backend="vectorized").cache_key(),
             EvaluatorConfig(cache_size=32).cache_key(),
         }
         assert len(keys) == 3
+
+    @pytest.mark.parametrize(
+        "config,key_id",
+        [
+            (EvaluatorConfig(), "776b77f35c9f0cf3f436f6d149a1c186"),
+            (
+                EvaluatorConfig(backend="vectorized", cache_size=64),
+                "c52edc9ac6e8ad12ba50c7d8ec9e31ba",
+            ),
+        ],
+    )
+    def test_run_key_bytes_are_pinned(self, config, key_id):
+        """Every stored run and checkpoint is found by this digest."""
+        key = run_key_for("es", "two_tia", steps=8, seed=0, evaluator_config=config)
+        assert key.key_id() == key_id
 
 
 class TestEnvironmentBatchAPI:
@@ -432,22 +412,7 @@ class TestEnvironmentBatchAPI:
 
 
 class TestOptimizersUnderParallelism:
-    """Acceptance: parallel evaluation is invisible in optimization results."""
-
-    @pytest.mark.parametrize("cls,budget", [(RandomSearch, 8), (EvolutionStrategy, 16)])
-    def test_parallel_matches_local_results(self, two_tia, cls, budget):
-        def run(evaluator):
-            env = SizingEnvironment(
-                two_tia, default_fom_config(two_tia), evaluator=evaluator
-            )
-            return OptimizationDriver(cls(env, seed=0), budget=budget).run()
-
-        local = run(LocalEvaluator(two_tia))
-        with ParallelEvaluator(two_tia, max_workers=4, backend="process") as pool:
-            parallel = run(pool)
-        assert local.rewards == parallel.rewards
-        assert local.best_reward == parallel.best_reward
-        assert local.best_sizing == parallel.best_sizing
+    """Acceptance: a shared design cache is invisible in optimization results."""
 
     def test_caching_changes_no_rewards_across_restarts(self, two_tia):
         cached = CachingEvaluator(LocalEvaluator(two_tia), max_size=256)

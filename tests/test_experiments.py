@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.eval import BACKENDS
 from repro.experiments import (
     CIRCUIT_LABELS,
     ExperimentSettings,
@@ -44,6 +45,18 @@ class TestSettings:
     def test_invalid_env_value_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_STEPS", "not_a_number")
         assert ExperimentSettings().steps == 80
+
+    @pytest.mark.parametrize("value", ["vectorised", "process"])
+    def test_unknown_eval_backend_env_fails_loudly(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_EVAL_BACKEND", value)
+        with pytest.raises(ValueError) as error:
+            ExperimentSettings()
+        assert "REPRO_EVAL_BACKEND" in str(error.value)
+        assert str(BACKENDS) in str(error.value)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["ls"])
+        assert exit_info.value.code == 2
+        assert "REPRO_EVAL_BACKEND" in capsys.readouterr().err
 
     def test_rl_warmup_bounded(self):
         settings = ExperimentSettings()
@@ -164,6 +177,15 @@ class TestTablesAndFigures:
 
 
 class TestCLI:
+    @pytest.mark.parametrize("target", ["table1", "ls"])
+    def test_workers_outside_sweep_is_a_usage_error(self, target, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CIRCUITS", "two_tia")
+        monkeypatch.setenv("REPRO_METHODS", "human")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([target, "--workers", "2", "--steps", "2", "--seeds", "1"])
+        assert exit_info.value.code == 2
+        assert "--workers applies to sweep only" in capsys.readouterr().err
+
     def test_cli_table1_smoke(self, capsys, monkeypatch):
         clear_run_cache()
         monkeypatch.setenv("REPRO_STEPS", "4")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
@@ -257,6 +258,29 @@ class TestJournal:
         pending = supervisor.pending_from_journal()
         assert [spec.job_id for spec in pending] == ["bbb"]
         assert pending[0] == alive
+
+    def test_job_journaled_on_a_retired_backend_fails_on_adoption(self, tmp_path):
+        supervisor = RunSupervisor(store_dir=str(tmp_path))
+        common = {
+            "method": "random", "circuit": "two_tia", "technology": "180nm",
+            "steps": 2, "seed": 0, "checkpoint_every": 1, "eval_cache_size": 0,
+        }
+        # A job journaled on a retired worker-pool backend, then a local one.
+        for job_id, backend in (("ccc", "process"), ("ddd", "local")):
+            supervisor._journal_append("submitted", {"job": dict(
+                common, job_id=job_id, eval_backend=backend
+            )})
+
+        async def adopt_and_drain():
+            jobs = supervisor.adopt_pending()
+            await supervisor.drain()
+            return jobs
+
+        retired, local = asyncio.run(adopt_and_drain())
+        assert retired.adopted and retired.status == "failed"
+        assert retired.error.startswith("ValueError: unknown backend 'process'")
+        assert local.spec == JobSpec(job_id="ddd", **common)
+        assert local.status == "done"
 
     def test_kill_server_midrun_restart_resumes_bit_identically(self, tmp_path):
         """SIGKILL the server mid-run; a restart re-adopts the journaled job

@@ -616,6 +616,29 @@ class TestStoreCLI:
         clone = RunRecord.from_dict(rows[0]["record"])
         assert np.isfinite(clone.best_reward)
 
+    def test_runs_keyed_on_retired_pool_backends_stay_readable(
+        self, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "store"
+        with open_run_store("sqlite", store_dir) as store:
+            for backend in ("thread", "process"):
+                key = make_run_key(
+                    "random", "two_tia", "180nm", 5, 0,
+                    evaluator_key=("evaluator", backend, 2, 0),
+                )
+                store.put(key, sample_record())
+        assert cli_main(["ls", "--store-dir", str(store_dir)]) == 0
+        assert "2 run(s)" in capsys.readouterr().out
+        output = tmp_path / "runs.json"
+        assert cli_main(
+            ["export", "--store-dir", str(store_dir), "--output", str(output)]
+        ) == 0
+        rows = json.loads(output.read_text())
+        assert sorted(row["key"]["evaluator"][1] for row in rows) == [
+            "process",
+            "thread",
+        ]
+
     def test_ls_without_store_is_graceful(self, capsys):
         assert cli_main(["ls"]) == 0
         assert "no store configured" in capsys.readouterr().out
