@@ -1,10 +1,25 @@
-"""Setuptools shim so editable installs work without network access.
+"""Package metadata: the one place the runtime dependencies are declared.
 
-The metadata lives in ``pyproject.toml``; this file only exists because the
-offline environment lacks the ``wheel`` package required by PEP 660 editable
-installs, so ``pip install -e .`` falls back to the legacy setup.py path.
+numpy is the only runtime dependency, and it covers GCN-RL and the human,
+random and ES baselines.  scipy is the ``bo`` extra (``pip install
+'.[bo]'``): the Gaussian process of the BO and MACE baselines imports it.
+A checkout also runs uninstalled with ``PYTHONPATH=src``.  Installing
+builds a wheel, which needs the ``wheel`` package besides setuptools.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description=(
+        "Reproduction of GCN-RL Circuit Designer: transferable transistor "
+        "sizing with graph neural networks and reinforcement learning"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    package_data={"repro.env": ["calibration/*.json"]},
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+    extras_require={"bo": ["scipy"]},
+)

@@ -22,10 +22,8 @@ from repro.circuits.components import (
 )
 from repro.circuits.graph import (
     build_adjacency,
-    graph_statistics,
     normalized_adjacency,
     receptive_field_depth,
-    to_networkx,
 )
 from repro.circuits.ldo import LowDropoutRegulator
 from repro.circuits.parameters import ParameterDef, ParameterSpace, Sizing
@@ -48,9 +46,7 @@ __all__ = [
     "validate_components",
     "build_adjacency",
     "normalized_adjacency",
-    "graph_statistics",
     "receptive_field_depth",
-    "to_networkx",
     "ParameterDef",
     "ParameterSpace",
     "Sizing",

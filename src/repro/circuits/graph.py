@@ -5,13 +5,17 @@ into a graph whose vertices are components and edges are wires").  Power and
 ground nets connect almost every component and would therefore wash out the
 structural information, so they are excluded from edge creation by default
 (the supply rails still appear in the circuit netlist used for simulation).
+
+The graph is kept as a numpy adjacency matrix: :func:`build_adjacency`
+extracts it, :func:`normalized_adjacency` turns it into the GCN propagation
+matrix, and :func:`receptive_field_depth` checks how many GCN layers a
+topology needs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits.components import ComponentSpec
@@ -66,63 +70,22 @@ def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return d_inv_sqrt @ a_tilde @ d_inv_sqrt
 
 
-def to_networkx(
-    components: Sequence[ComponentSpec],
-    exclude_nets: Optional[Iterable[str]] = None,
-) -> nx.Graph:
-    """Export the topology graph to ``networkx`` for inspection/plotting."""
-    adjacency = build_adjacency(components, exclude_nets)
-    graph = nx.Graph()
-    for index, comp in enumerate(components):
-        graph.add_node(
-            comp.name, index=index, ctype=comp.ctype.value, nets=list(comp.nets)
-        )
-    n = len(components)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adjacency[i, j] > 0:
-                graph.add_edge(components[i].name, components[j].name)
-    return graph
-
-
-def graph_statistics(
-    components: Sequence[ComponentSpec],
-    exclude_nets: Optional[Iterable[str]] = None,
-) -> Dict[str, float]:
-    """Basic statistics of the topology graph (used in reports and tests)."""
-    graph = to_networkx(components, exclude_nets)
-    n = graph.number_of_nodes()
-    degrees = [d for _, d in graph.degree()]
-    return {
-        "num_nodes": float(n),
-        "num_edges": float(graph.number_of_edges()),
-        "avg_degree": float(np.mean(degrees)) if degrees else 0.0,
-        "max_degree": float(max(degrees)) if degrees else 0.0,
-        "num_connected_components": float(nx.number_connected_components(graph))
-        if n
-        else 0.0,
-        "diameter": float(
-            max(
-                nx.diameter(graph.subgraph(c))
-                for c in nx.connected_components(graph)
-            )
-        )
-        if n
-        else 0.0,
-    }
-
-
 def receptive_field_depth(adjacency: np.ndarray) -> int:
     """Smallest number of GCN layers giving every node a global receptive field.
 
-    This is the graph diameter of the largest connected component; the paper
-    uses 7 layers "to make sure the last layer has a global receptive field".
+    This is the largest diameter among the graph's connected components,
+    and at least 1; the paper uses 7 layers "to make sure the last layer has
+    a global receptive field".  A breadth-first search runs from every node
+    at once: each round extends every node's reached set by one hop, and the
+    number of rounds that still reach a new node is the largest eccentricity.
     """
-    n = adjacency.shape[0]
-    graph = nx.from_numpy_array(np.asarray(adjacency))
+    linked = np.asarray(adjacency) != 0
+    linked = linked | linked.T
+    reached = np.eye(len(linked), dtype=bool)
     depth = 0
-    for component in nx.connected_components(graph):
-        sub = graph.subgraph(component)
-        if sub.number_of_nodes() > 1:
-            depth = max(depth, nx.diameter(sub))
-    return max(depth, 1) if n > 1 else 1
+    while True:
+        grown = reached | reached @ linked
+        if np.array_equal(grown, reached):
+            return max(depth, 1)
+        reached = grown
+        depth += 1

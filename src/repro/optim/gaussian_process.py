@@ -1,12 +1,16 @@
-"""Minimal Gaussian-process regression used by the BO and MACE baselines."""
+"""Minimal Gaussian-process regression used by the BO and MACE baselines.
+
+scipy (the package's ``bo`` extra) supplies the Cholesky solves and the
+normal distribution.  It is imported inside the functions that use it, so
+the rest of the package, GCN-RL and the other baselines included, runs with
+numpy alone.
+"""
 
 from __future__ import annotations
 
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
 
 
 class GaussianProcess:
@@ -50,6 +54,8 @@ class GaussianProcess:
         return self._kernel_from_sq_dist(self._sq_dist(a, b))
 
     def _log_marginal(self, sq_dist: np.ndarray, y: np.ndarray) -> float:
+        from scipy.linalg import cho_factor, cho_solve
+
         k = self._kernel_from_sq_dist(sq_dist) + self.noise * np.eye(len(y))
         try:
             cho = cho_factor(k, lower=True)
@@ -66,6 +72,8 @@ class GaussianProcess:
         the hyper-parameters, so it is computed once and shared by all grid
         combinations and the final fit.
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self._y_mean = float(np.mean(y))
@@ -91,6 +99,8 @@ class GaussianProcess:
 
     def predict(self, x_new: np.ndarray):
         """Posterior mean and standard deviation at the query points."""
+        from scipy.linalg import cho_solve
+
         if self._x is None:
             raise RuntimeError("predict called before fit")
         x_new = np.asarray(x_new, dtype=float)
@@ -106,6 +116,8 @@ def expected_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """Expected improvement acquisition (maximisation convention)."""
+    from scipy.stats import norm
+
     std = np.maximum(std, 1e-12)
     z = (mean - best - xi) / std
     return (mean - best - xi) * norm.cdf(z) + std * norm.pdf(z)
@@ -115,6 +127,8 @@ def probability_of_improvement(
     mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.01
 ) -> np.ndarray:
     """Probability-of-improvement acquisition (maximisation convention)."""
+    from scipy.stats import norm
+
     std = np.maximum(std, 1e-12)
     return norm.cdf((mean - best - xi) / std)
 

@@ -9,10 +9,8 @@ from repro.circuits import get_circuit
 from repro.circuits.components import ComponentType, mosfet, resistor
 from repro.circuits.graph import (
     build_adjacency,
-    graph_statistics,
     normalized_adjacency,
     receptive_field_depth,
-    to_networkx,
 )
 
 
@@ -103,26 +101,23 @@ class TestNormalizedAdjacency:
 
 
 class TestGraphExports:
-    def test_networkx_export_node_and_edge_counts(self):
-        circuit = get_circuit("two_tia")
-        graph = to_networkx(circuit.components)
-        adjacency = circuit.adjacency()
-        assert graph.number_of_nodes() == circuit.num_components
-        assert graph.number_of_edges() == int(adjacency.sum() / 2)
-
-    def test_graph_statistics_keys(self):
-        stats = graph_statistics(get_circuit("ldo").components)
-        assert stats["num_nodes"] == 10
-        assert stats["num_edges"] > 0
-        assert stats["max_degree"] >= stats["avg_degree"]
-
     def test_receptive_field_depth_of_chain(self):
         adjacency = build_adjacency(chain_components(5))
         assert receptive_field_depth(adjacency) == 4
+        # Chains of 5 and 3 plus an isolated node: the longest chain decides.
+        disconnected = np.zeros((9, 9))
+        disconnected[:5, :5] = adjacency
+        disconnected[5:8, 5:8] = build_adjacency(chain_components(3))
+        assert receptive_field_depth(disconnected) == 4
+        assert receptive_field_depth(np.zeros((1, 1))) == 1
+        assert receptive_field_depth(np.zeros((4, 4))) == 1
 
     def test_receptive_field_depth_smaller_than_paper_depth(self):
         # The paper stacks 7 GCN layers to guarantee a global receptive field;
         # all four benchmark topologies indeed have diameter <= 7.
-        for name in ("two_tia", "two_volt", "three_tia", "ldo"):
-            circuit = get_circuit(name)
-            assert receptive_field_depth(circuit.adjacency()) <= 7
+        depths = {
+            name: receptive_field_depth(get_circuit(name).adjacency())
+            for name in ("two_tia", "two_volt", "three_tia", "ldo")
+        }
+        assert depths == {"two_tia": 4, "two_volt": 3, "three_tia": 6, "ldo": 4}
+        assert max(depths.values()) <= 7
