@@ -141,6 +141,10 @@ def record_backend(
     vectorized = report["backends"].get("vectorized", {}).get("designs_per_sec")
     if serial and vectorized:
         report["vectorized_speedup_over_serial"] = round(vectorized / serial, 2)
+    serial_b1 = report["backends"].get("serial_b1", {}).get("designs_per_sec")
+    vectorized_b1 = report["backends"].get("vectorized_b1", {}).get("designs_per_sec")
+    if serial_b1 and vectorized_b1:
+        report["vectorized_b1_speedup_over_serial"] = round(vectorized_b1 / serial_b1, 2)
     mixed_serial = report["backends"].get("mixed_serial", {}).get("designs_per_sec")
     mixed = report["backends"].get("mixed_workload", {}).get("designs_per_sec")
     if mixed_serial and mixed:

@@ -37,6 +37,9 @@ fails (exit code 1) when any of:
   generous because absolute rates vary across runner hardware; the speedup
   *ratios* are the portable signal.
 
+One-design batches (``serial_b1`` / ``vectorized_b1``, two_tia) are printed
+as recorded, not gated.
+
 Usage:
     python benchmarks/check_bench_gate.py REPORT [--baseline BASELINE]
         [--min-speedup 3.0] [--min-mixed-speedup 3.0] [--min-ldo-speedup 3.0]
@@ -186,6 +189,14 @@ def main(argv=None) -> int:
                 f"acceptance margin of {args.min_rl_speedup:.1f}x over the "
                 "per-sample loop"
             )
+
+    serial_b1 = backends.get("serial_b1", {}).get("designs_per_sec")
+    vectorized_b1 = backends.get("vectorized_b1", {}).get("designs_per_sec")
+    if serial_b1 and vectorized_b1:
+        print(
+            f"B=1 serial={serial_b1:.1f}/s vectorized={vectorized_b1:.1f}/s "
+            f"speedup={vectorized_b1 / serial_b1:.2f}x (recorded, not gated)"
+        )
 
     service = backends.get("service", {})
     coalescing = service.get("coalescing_factor")

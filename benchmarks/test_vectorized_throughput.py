@@ -7,7 +7,8 @@ batches, verifies the results agree, and records the rates into
 enforced by ``check_bench_gate.py`` in CI — the in-test assertion uses a
 lower bar so a noisy machine cannot flake the test suite itself.  The LDO,
 which has no analysis plan, is measured on its own stacked path (gated at
->= 3x serial).
+>= 3x serial).  One-design batches (B=1, the latency regime of RL steps
+and served single requests) are measured and recorded, not gated.
 
 Raise ``REPRO_BENCH_VEC_DESIGNS`` to stress larger batches.
 """
@@ -35,6 +36,8 @@ NUM_DESIGNS = _bench_int("REPRO_BENCH_VEC_DESIGNS", 32)
 MIN_SPEEDUP_IN_TEST = 1.5
 #: LDO chunk size: one ES generation, as in the ``ldo_es`` workload.
 LDO_DESIGNS = 13
+#: Designs of the B=1 case, each evaluated as its own batch.
+B1_DESIGNS = 64
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,49 @@ def test_vectorized_vs_serial_throughput(circuit, batch, capsys):
             f"speedup={speedup:.2f}x"
         )
     assert speedup > MIN_SPEEDUP_IN_TEST
+
+
+def test_single_design_batches_vs_serial(circuit, capsys):
+    """B=1: every design its own batch, through each backend, best of three.
+
+    Recorded as ``serial_b1`` and ``vectorized_b1``; ``check_bench_gate.py``
+    prints the ratio without gating it.  A one-design batch must give
+    exactly the metrics its design gets inside a full chunk.  Against the
+    serial backend the FoM agrees to the tolerance used above: the plan
+    circuits' batched DC matches the scalar solver to ~1e-13, not bit for bit.
+    """
+    rng = np.random.default_rng(11)
+    designs = [circuit.random_sizing(rng) for _ in range(B1_DESIGNS)]
+
+    def rate(evaluator):
+        evaluator.evaluate_batch(designs[:1])  # warm-up
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            results = [evaluator.evaluate_batch([design])[0] for design in designs]
+            elapsed.append(time.perf_counter() - start)
+        return len(designs) / max(min(elapsed), 1e-9), results
+
+    serial_rate, serial_results = rate(LocalEvaluator(circuit))
+    vectorized_rate, vectorized_results = rate(VectorizedEvaluator(circuit))
+    speedup = vectorized_rate / serial_rate
+
+    chunk = VectorizedEvaluator(circuit).evaluate_batch(designs)
+    assert [r.metrics for r in vectorized_results] == [r.metrics for r in chunk]
+    fom = default_fom_config(circuit)
+    for reference, result in zip(serial_results, vectorized_results):
+        assert fom.compute(result.metrics) == pytest.approx(
+            fom.compute(reference.metrics), rel=1e-9, abs=1e-9
+        )
+
+    record_backend("serial_b1", serial_rate, 1)
+    record_backend("vectorized_b1", vectorized_rate, 1)
+    with capsys.disabled():
+        print(
+            f"\n[b1-throughput] designs={B1_DESIGNS} "
+            f"serial={serial_rate:.1f}/s vectorized={vectorized_rate:.1f}/s "
+            f"speedup={speedup:.2f}x"
+        )
 
 
 def test_mixed_workload_throughput(capsys):

@@ -38,6 +38,7 @@ from repro.circuits.base import AnalysisPlan, CircuitDesign
 from repro.circuits.parameters import Sizing
 from repro.eval.base import EvalResult, Evaluator
 from repro.spice.batch import (
+    ACSystem,
     BatchIncompatibleError,
     BatchTemplate,
     batch_ac_analysis,
@@ -104,9 +105,9 @@ class VectorizedEvaluator(Evaluator):
             sub_template = (
                 template if len(converged) == len(circuits) else template.subset(converged)
             )
-            acs = batch_ac_analysis(
-                sub_circuits, sub_ops, plan.ac_frequencies, template=sub_template
-            )
+            # One small-signal system serves both sweeps.
+            system = ACSystem(sub_template, sub_ops)
+            acs = batch_ac_analysis(sub_circuits, sub_ops, plan.ac_frequencies, system=system)
             noises: List[Optional[object]] = [None] * len(converged)
             if plan.noise_output is not None:
                 noises = batch_noise_analysis(
@@ -115,7 +116,7 @@ class VectorizedEvaluator(Evaluator):
                     plan.noise_output,
                     plan.noise_frequencies,
                     output_node_neg=plan.noise_output_neg,
-                    template=sub_template,
+                    system=system,
                 )
             for position, index in enumerate(converged):
                 metrics[index] = circuit.metrics_from_solutions(

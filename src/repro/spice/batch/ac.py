@@ -2,155 +2,106 @@
 
 The small-signal system is linear, so the whole batch × frequency grid can
 be assembled into one tensor and solved with a single batched LAPACK call.
-Frequency-independent stamps (conductances, transconductances, source
-patterns) broadcast across the frequency axis; capacitive stamps broadcast
-``1j * omega`` across designs.  Device small-signal values are read from the
-per-design :class:`~repro.spice.dc.DCSolution.device_ops` produced by the DC
-stage, so the batched sweep sees exactly the operating point the serial
-sweep would.
+An :class:`ACSystem` builds the tensor ``G + jωC`` from the compiled stamp
+program (:mod:`repro.spice.batch.program`): the frequency-independent part
+``G`` (conductances, transconductances, source patterns, gmin) is one
+``np.bincount`` per batch, and the capacitive part one ``np.bincount`` per
+block of frequencies.  The real and imaginary parts are summed separately,
+each entry over its stamps in element order, so the tensor equals the one
+the element-by-element stamping built, bit for bit.  Device small-signal
+values are read from the per-design
+:class:`~repro.spice.dc.DCSolution.device_ops` produced by the DC stage, so
+the batched sweep sees exactly the operating point the serial sweep would.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.spice.ac import ACSolution, logspace_frequencies
+from repro.spice.batch.program import StampProgram, stack_columns, stamp_program
 from repro.spice.batch.template import AC_GMIN, BatchTemplate
 from repro.spice.dc import DCSolution
 from repro.spice.linalg import solve_stacked
 
+#: Capacitive stamps summed per ``np.bincount``: a block of frequencies
+#: holds at most this many (frequency, design, stamp) terms, but always one
+#: frequency.  Small batches take a whole grid in one call; a full chunk takes
+#: one call per frequency, its temporaries ``O(B·K)`` for ``K`` stamps.
+BLOCK_TERMS = 1 << 13
 
-def _tensor_scatter_add(
-    tensor: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> None:
-    """``tensor[b, :, rows[b], cols[b]] += values[b]`` skipping ground (-1).
 
-    ``values`` may be ``(B,)`` (broadcast over frequency) or ``(B, F)``.
+class ACSystem:
+    """The small-signal system ``G + jωC`` of a batch at its operating points.
+
+    One system serves a chunk's AC and noise sweeps, whatever their
+    frequency grids: ``real`` ``(B, n, n)`` is ``G`` with the gmin diagonal,
+    ``rhs`` ``(B, n)`` the AC source vector, and :meth:`tensor` adds the
+    capacitive stamps at each frequency of a grid.
+
+    Args:
+        template: Template of the batch (the converged designs).
+        ops: Converged DC solutions, one per template row.
     """
-    mask = (rows >= 0) & (cols >= 0)
-    if not mask.any():
-        return
-    picked = values[mask]
-    if picked.ndim == 1:
-        picked = picked[:, None]
-    tensor[np.flatnonzero(mask), :, rows[mask], cols[mask]] += picked
 
+    def __init__(self, template: BatchTemplate, ops: Sequence[DCSolution]):
+        program = stamp_program(template)
+        batch, n = template.batch_size, template.num_unknowns
+        names = [group.name for group in template.mosfets]
+        count = len(names)
+        # Per design and device: gm, gmb, gds, cgs, cgd, cdb, effective drain.
+        devices = np.array(
+            [
+                (op.gm, op.gmb, op.gds, op.cgs, op.cgd, op.cdb, op.field_extra["drain_index"])
+                for solution in ops
+                for op in (solution.device_ops[name] for name in names)
+            ],
+            dtype=float,
+        ).reshape(batch, count, 7)
+        swap = devices[:, :, 6] != program.devices.drain
+        conductances = devices[:, :, 0:3].transpose(0, 2, 1).reshape(batch, 3 * count)
+        capacitances = devices[:, :, 3:6].transpose(0, 2, 1).reshape(batch, 3 * count)
+        caps = [cap.c for cap in template.capacitors]
 
-def _fixed_add(
-    tensor: np.ndarray, row: int, col: int, values: np.ndarray
-) -> None:
-    """``tensor[:, :, row, col] += values`` skipping ground (-1)."""
-    if row < 0 or col < 0:
-        return
-    if np.ndim(values) == 1:
-        values = np.asarray(values)[:, None]
-    tensor[:, :, row, col] += values
-
-
-def _fixed_conductance(
-    tensor: np.ndarray, n1: int, n2: int, values: np.ndarray
-) -> None:
-    _fixed_add(tensor, n1, n1, values)
-    _fixed_add(tensor, n2, n2, values)
-    _fixed_add(tensor, n1, n2, -values)
-    _fixed_add(tensor, n2, n1, -values)
-
-
-def _gather_device_arrays(
-    template: BatchTemplate, ops: Sequence[DCSolution], name: str
-) -> dict:
-    """Per-design small-signal values of one template device, as arrays."""
-    device_ops = [op.device_ops[name] for op in ops]
-    arrays = {
-        key: np.asarray([getattr(op, key) for op in device_ops], dtype=float)
-        for key in ("gm", "gmb", "gds", "cgs", "cgd", "cdb")
-    }
-    for key in ("drain_index", "source_index", "gate_index", "bulk_index"):
-        arrays[key] = np.asarray(
-            [int(op.field_extra[key]) for op in device_ops], dtype=int
+        real_values = np.concatenate(
+            [StampProgram.static_values(template, caps), conductances], axis=1
         )
-    return arrays
+        real = program.ac_real.sums(real_values, swap).reshape(batch, n, n)
+        nodes = np.arange(template.num_nodes)
+        real[:, nodes, nodes] += AC_GMIN
+        self.real = real
+        self.rhs = program.ac_rhs.sums(StampProgram.source_values(template, "ac")).astype(complex)
 
+        imag = program.ac_imag
+        imag_values = np.concatenate([stack_columns(caps, batch), capacitances], axis=1)
+        # Signed capacitances and their flat bincount slots, one row per design.
+        self._slots = n * n + 1
+        self._capacitance = imag.weights(imag_values)
+        self._flat = imag.targets(swap) + (np.arange(batch) * self._slots)[:, None]
 
-def build_batch_ac_tensor(
-    template: BatchTemplate,
-    ops: Sequence[DCSolution],
-    frequencies: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble the stacked complex MNA tensor and the (per-design) AC rhs.
+    def tensor(self, frequencies: np.ndarray) -> np.ndarray:
+        """The stacked complex tensor ``(B, F, n, n)`` at ``frequencies`` [Hz].
 
-    Returns:
-        ``(tensor, rhs)`` of shapes ``(B, F, n, n)`` and ``(B, n)`` — the
-        right-hand side carries only source AC magnitudes and is frequency
-        independent.
-    """
-    batch, n = template.batch_size, template.num_unknowns
-    freqs = np.asarray(frequencies, dtype=float)
-    omega = 2.0 * np.pi * freqs
-    tensor = np.zeros((batch, len(freqs), n, n), dtype=complex)
-    rhs = np.zeros((batch, n), dtype=complex)
-
-    for group in template.conductances:
-        _fixed_conductance(tensor, group.n1, group.n2, group.g)
-
-    for group in template.capacitors:
-        jwc = 1j * omega[None, :] * group.c[:, None]
-        _fixed_conductance(tensor, group.n1, group.n2, jwc)
-
-    for source in template.vsources:
-        np_, nm, b = source.n_plus, source.n_minus, source.branch
-        ones = np.ones(batch)
-        _fixed_add(tensor, np_, b, ones)
-        _fixed_add(tensor, nm, b, -ones)
-        _fixed_add(tensor, b, np_, ones)
-        _fixed_add(tensor, b, nm, -ones)
-        rhs[:, b] += source.ac
-
-    for source in template.isources:
-        if source.n_from >= 0:
-            rhs[:, source.n_from] -= source.ac
-        if source.n_to >= 0:
-            rhs[:, source.n_to] += source.ac
-
-    for element in template.vcvs:
-        ones = np.ones(batch)
-        _fixed_add(tensor, element.out_plus, element.branch, ones)
-        _fixed_add(tensor, element.out_minus, element.branch, -ones)
-        _fixed_add(tensor, element.branch, element.out_plus, ones)
-        _fixed_add(tensor, element.branch, element.out_minus, -ones)
-        _fixed_add(tensor, element.branch, element.in_plus, -element.gain)
-        _fixed_add(tensor, element.branch, element.in_minus, element.gain)
-
-    for group in template.mosfets:
-        dev = _gather_device_arrays(template, ops, group.name)
-        nd, ns = dev["drain_index"], dev["source_index"]
-        ng, nb = dev["gate_index"], dev["bulk_index"]
-
-        # VCCS gm (gate drive) and gmb (bulk drive), then the output gds.
-        for out_p, out_n, in_p, in_n, value in (
-            (nd, ns, ng, ns, dev["gm"]),
-            (nd, ns, nb, ns, dev["gmb"]),
-        ):
-            _tensor_scatter_add(tensor, out_p, in_p, value)
-            _tensor_scatter_add(tensor, out_p, in_n, -value)
-            _tensor_scatter_add(tensor, out_n, in_p, -value)
-            _tensor_scatter_add(tensor, out_n, in_n, value)
-        for n1, n2, value in (
-            (nd, ns, dev["gds"]),
-            (ng, ns, 1j * omega[None, :] * dev["cgs"][:, None]),
-            (ng, nd, 1j * omega[None, :] * dev["cgd"][:, None]),
-            (nd, nb, 1j * omega[None, :] * dev["cdb"][:, None]),
-        ):
-            _tensor_scatter_add(tensor, n1, n1, value)
-            _tensor_scatter_add(tensor, n2, n2, value)
-            _tensor_scatter_add(tensor, n1, n2, -value)
-            _tensor_scatter_add(tensor, n2, n1, -value)
-
-    nodes = np.arange(template.num_nodes)
-    tensor[:, :, nodes, nodes] += AC_GMIN
-    return tensor, rhs
+        Each capacitive stamp adds ``ω·C`` to the imaginary part, as the
+        element stamp ``1j * omega * c`` does.
+        """
+        omega = 2.0 * np.pi * np.asarray(frequencies, dtype=float)
+        batch, n = self.real.shape[:2]
+        tensor = np.empty((batch, len(omega), n, n), dtype=complex)
+        tensor.real[...] = self.real[:, None]
+        span = batch * self._slots
+        block = max(1, BLOCK_TERMS // max(self._capacitance.size, 1))
+        for start in range(0, len(omega), block):
+            stop = min(start + block, len(omega))
+            shifts = np.arange(stop - start) * span
+            flat = self._flat[None] + shifts[:, None, None]
+            weights = omega[start:stop, None, None] * self._capacitance
+            sums = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=len(shifts) * span)
+            sums = sums.reshape(len(shifts), batch, self._slots)[:, :, : n * n]
+            tensor.imag[:, start:stop] = sums.reshape(len(shifts), batch, n, n).swapaxes(0, 1)
+        return tensor
 
 
 def batch_ac_analysis(
@@ -158,6 +109,7 @@ def batch_ac_analysis(
     ops: Sequence[DCSolution],
     frequencies: Optional[Sequence[float]] = None,
     template: Optional[BatchTemplate] = None,
+    system: Optional[ACSystem] = None,
 ) -> List[ACSolution]:
     """Run one stacked AC sweep for a batch of same-topology circuits.
 
@@ -168,20 +120,20 @@ def batch_ac_analysis(
             1 Hz – 10 GHz grid.
         template: Pre-built batch template (rebuilt from ``circuits`` if
             omitted).
+        system: Pre-built small-signal system of ``ops`` (built from the
+            template if omitted), e.g. shared with the noise sweep.
 
     Returns:
         One :class:`ACSolution` per design, shaped exactly like the scalar
         :func:`repro.spice.ac.ac_analysis` result.
     """
-    if template is None:
-        template = BatchTemplate(circuits)
+    if system is None:
+        system = ACSystem(BatchTemplate(circuits) if template is None else template, ops)
     if frequencies is None:
         frequencies = logspace_frequencies()
     freqs = np.asarray(list(frequencies), dtype=float)
-    tensor, rhs = build_batch_ac_tensor(template, ops, freqs)
-    stacked_rhs = np.broadcast_to(
-        rhs[:, None, :], (template.batch_size, len(freqs), template.num_unknowns)
-    )
+    tensor = system.tensor(freqs)
+    stacked_rhs = np.broadcast_to(system.rhs[:, None, :], tensor.shape[:-1])
     solutions = solve_stacked(tensor, stacked_rhs, context="batched AC sweep")
     return [
         ACSolution(circuit=circuit, frequencies=freqs, x=solutions[index])

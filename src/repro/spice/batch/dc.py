@@ -15,15 +15,20 @@ point the serial homotopy would have found.
 The Newton loop is shared; the system it assembles is an argument, and two
 assemblers exist:
 
-* :class:`_DCAssembler` (behind :func:`batch_dc_operating_point`) exploits
-  the linear/nonlinear split: everything except the MOSFETs is
-  bias-independent, so the static Jacobian (including the gmin diagonal)
-  and the constant source vector are stamped once per Newton stage; each
-  iteration then costs one batched matrix–vector product for the linear
-  residual, one vectorized model evaluation per distinct model card, and
-  two ``np.add.at`` scatters for the device stamps.  Its sums are ordered
-  differently from the scalar element loop, so it agrees with the scalar
-  solver to solver precision (~1e-13), not bit for bit.
+* :class:`_DCAssembler` (behind :func:`batch_dc_operating_point`) runs the
+  topology's compiled stamp program
+  (:func:`~repro.spice.batch.program.stamp_program`, compiled once per
+  topology and model cards).  Everything except the MOSFETs is
+  bias-independent: the static Jacobian is summed once per batch, and each
+  homotopy rung restricts it by row and adds its gmin diagonal and scaled
+  source vector.  Each iteration then costs one batched matrix–vector
+  product for the linear residual and one fused MOSFET pass: one model
+  evaluation over every device (stacked cards) and one ``np.bincount``
+  seeded with the static system.  The bincount adds the device stamps card
+  by card, in the order of the per-card scatters it replaced, so results
+  keep that rounding bit for bit.  Those sums are ordered differently from
+  the scalar element loop, so it agrees with the scalar solver to solver
+  precision (~1e-13), not bit for bit.
 * :class:`_ScalarOrderAssembler` (behind :func:`stacked_dc_operating_point`)
   is compiled once per template from the element list and adds every
   Jacobian and residual entry in the scalar element-stamping order, with the
@@ -34,12 +39,18 @@ assemblers exist:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.spice.batch.model import batch_dc_params, stack_cards
+from repro.spice.batch.model import batch_dc_params
+from repro.spice.batch.program import (
+    MOSFET_ENTRIES,
+    Columns,
+    ground_padded,
+    stack_columns,
+    stamp_program,
+)
 from repro.spice.batch.template import CAP_DC_LEAK, BatchTemplate
 from repro.spice.circuit import Circuit
 from repro.spice.dc import DCSolution
@@ -62,222 +73,110 @@ GMIN_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12)
 SOURCE_RAMP = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
-class _CardGroup:
-    """All template MOSFETs sharing one model card, as stacked arrays."""
-
-    def __init__(self, card, groups):
-        self.card = card
-        self.drain = np.asarray([g.drain for g in groups], dtype=int)  # (G,)
-        self.gate = np.asarray([g.gate for g in groups], dtype=int)
-        self.source = np.asarray([g.source for g in groups], dtype=int)
-        self.bulk = np.asarray([g.bulk for g in groups], dtype=int)
-        self.weff = np.stack([g.weff for g in groups], axis=1)  # (B, G)
-        self.length = np.stack([g.length for g in groups], axis=1)  # (B, G)
-
-    def bias(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Effective drain/source and model bias of every device at ``x``.
-
-        Drain and source swap where the polarity-normalised ``vds`` would be
-        negative, as in :meth:`repro.spice.elements.MOSFET._bias`.
-
-        Returns:
-            ``(nd, ns, vgs, vds, vsb)``, each of shape ``(K, G)``.
-        """
-        p = self.card.polarity
-        xg = _ground_padded(x)
-        vd = xg[:, self.drain]
-        vs = xg[:, self.source]
-        swap = p * (vd - vs) < 0.0
-        nd = np.where(swap, self.source[None, :], self.drain[None, :])
-        ns = np.where(swap, self.drain[None, :], self.source[None, :])
-        vd_eff = np.where(swap, vs, vd)
-        vs_eff = np.where(swap, vd, vs)
-        vg = xg[:, self.gate]
-        vb = xg[:, self.bulk]
-        vgs = p * (vg - vs_eff)
-        vds = p * (vd_eff - vs_eff)
-        vsb = np.maximum(p * (vs_eff - vb), 0.0)
-        return nd, ns, vgs, vds, vsb
-
-
-def _ground_padded(x: np.ndarray) -> np.ndarray:
-    """``x`` ``(K, n)`` plus a zero last column, so node ``-1`` (ground) reads 0."""
-    return np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
-
-
-def stamp_conductance(matrix: np.ndarray, n1: int, n2: int, g: np.ndarray) -> None:
-    """Add a per-design conductance ``g`` ``(B,)`` between two fixed nodes."""
-    if n1 >= 0:
-        matrix[:, n1, n1] += g
-    if n2 >= 0:
-        matrix[:, n2, n2] += g
-    if n1 >= 0 and n2 >= 0:
-        matrix[:, n1, n2] -= g
-        matrix[:, n2, n1] -= g
-
-
 class _DCAssembler:
-    """Pre-stamped static system + fast per-iteration MOSFET assembly.
+    """A batch's values bound to its compiled :class:`~repro.spice.batch.program.StampProgram`.
 
-    With ``dt`` set, capacitors stamp their backward-Euler companion
-    conductance ``C/dt`` instead of the DC leak (the transient system).
+    The bias-independent Jacobian is summed once per batch, without gmin;
+    :meth:`system` restricts it to a homotopy rung's rows and adds the
+    rung's gmin and scaled sources.  :meth:`stamp` is the fused MOSFET pass
+    of a Newton iteration.  With ``dt`` set, capacitors stamp their
+    backward-Euler companion conductance ``C/dt`` instead of the DC leak
+    (the transient system).
     """
 
-    def __init__(
-        self,
-        template: BatchTemplate,
-        gmin: float,
-        source_scale: float,
-        dt: Optional[float] = None,
-    ):
-        self.template = template
-        self.batch_size = template.batch_size
-        self.num_nodes = template.num_nodes
-        batch, n = template.batch_size, template.num_unknowns
-        j_static = np.zeros((batch, n, n))
-        b_static = np.zeros((batch, n))
+    def __init__(self, template: BatchTemplate, dt: Optional[float] = None):
+        program = self.program = stamp_program(template)
+        batch = template.batch_size
+        leak = np.full(batch, CAP_DC_LEAK)
+        capacitance = [leak if dt is None else cap.c / dt for cap in template.capacitors]
+        self.static = program.dc_static.sums(program.static_values(template, capacitance))
+        self.sources = program.source_values(template, "dc")
+        self.weff = stack_columns([group.weff for group in template.mosfets], batch)
+        self.length = stack_columns([group.length for group in template.mosfets], batch)
 
-        for group in template.conductances:
-            stamp_conductance(j_static, group.n1, group.n2, group.g)
-        for cap in template.capacitors:
-            g = np.full(batch, CAP_DC_LEAK) if dt is None else cap.c / dt
-            stamp_conductance(j_static, cap.n1, cap.n2, g)
-
-        for source in template.vsources:
-            np_, nm, b = source.n_plus, source.n_minus, source.branch
-            if np_ >= 0:
-                j_static[:, np_, b] += 1.0
-                j_static[:, b, np_] += 1.0
-            if nm >= 0:
-                j_static[:, nm, b] -= 1.0
-                j_static[:, b, nm] -= 1.0
-            b_static[:, b] -= source.dc * source_scale
-
-        for source in template.isources:
-            value = source.dc * source_scale
-            if source.n_from >= 0:
-                b_static[:, source.n_from] += value
-            if source.n_to >= 0:
-                b_static[:, source.n_to] -= value
-
-        for element in template.vcvs:
-            op_, om, ip, im, b = (
-                element.out_plus,
-                element.out_minus,
-                element.in_plus,
-                element.in_minus,
-                element.branch,
-            )
-            if op_ >= 0:
-                j_static[:, op_, b] += 1.0
-                j_static[:, b, op_] += 1.0
-            if om >= 0:
-                j_static[:, om, b] -= 1.0
-                j_static[:, b, om] -= 1.0
-            if ip >= 0:
-                j_static[:, b, ip] -= element.gain
-            if im >= 0:
-                j_static[:, b, im] += element.gain
-
+    def jacobian(self, rows: np.ndarray, gmin: float) -> np.ndarray:
+        """The static Jacobian ``(K, n, n)`` of ``rows``, gmin on the node diagonal last."""
+        n = self.program.num_unknowns
+        jacobian = self.static[rows].reshape(len(rows), n, n)
         if gmin > 0:
-            nodes = np.arange(template.num_nodes)
-            j_static[:, nodes, nodes] += gmin
+            nodes = np.arange(self.program.num_nodes)
+            jacobian[:, nodes, nodes] += gmin
+        return jacobian
 
-        self.j_static = j_static
-        self.b_static = b_static
+    def system(
+        self, rows: Optional[np.ndarray], gmin: float, source_scale: float
+    ) -> "_DCSystem":
+        """The DC system of ``rows`` (``None``: all) at ``gmin`` and ``source_scale``."""
+        return _DCSystem(self, rows, gmin, source_scale)
 
-        by_card = {}
-        for group in template.mosfets:
-            by_card.setdefault(id(group.card), (group.card, []))[1].append(group)
-        self.card_groups = [
-            _CardGroup(card, groups) for card, groups in by_card.values()
-        ]
-
-    def assemble(
-        self, x: np.ndarray, subset: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Jacobian and residual for the active designs ``subset``.
-
-        Args:
-            x: Iterates of the active designs, shape ``(K, n)``.
-            subset: Indices of the active designs within the batch.
-
-        Returns:
-            ``(jacobian, residual)`` of shapes ``(K, n, n)`` and ``(K, n)``.
-        """
-        # Advanced indexing already yields a fresh array — safe to mutate.
-        jacobian = self.j_static[subset]
-        residual = (
-            np.matmul(jacobian, x[:, :, None])[:, :, 0] + self.b_static[subset]
-        )
-        self.stamp_mosfets(jacobian, residual, x, subset)
-        return jacobian, residual
-
-    def stamp_mosfets(
+    def stamp(
         self,
         jacobian: np.ndarray,
         residual: np.ndarray,
         x: np.ndarray,
-        subset: np.ndarray,
-    ) -> None:
-        """Add every MOSFET's drain current and conductances at ``x`` in place.
+        weff: np.ndarray,
+        length: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``jacobian`` and ``residual`` plus every MOSFET's stamps at ``x``.
 
-        Args:
-            jacobian: ``(K, n, n)`` Jacobian of the active designs.
-            residual: ``(K, n)`` residual of the active designs.
-            x: Iterates of the active designs, shape ``(K, n)``.
-            subset: Indices of the active designs within the batch.
+        One model evaluation over all devices (stacked cards) and one
+        ``np.bincount`` seeded with ``jacobian`` ``(K, n, n)`` and
+        ``residual`` ``(K, n)``; the devices are added card by card, each
+        card's drain currents and then its six Jacobian entries per device.
+
+        Returns:
+            The new ``(jacobian, residual)``.
         """
-        count = x.shape[0]
-        for cg in self.card_groups:
-            p = cg.card.polarity
-            nd, ns, vgs, vds, vsb = cg.bias(x)
-            ids, gm, gds, _, _ = batch_dc_params(
-                cg.card, cg.weff[subset], cg.length[subset], vgs, vds, vsb
-            )
-            i_drain = p * ids
-            ng = np.broadcast_to(cg.gate[None, :], nd.shape)
-            bidx = np.broadcast_to(np.arange(count)[:, None], nd.shape)
-
-            # Residual: drain current in, source current out (ground skipped).
-            rows = np.concatenate([nd.ravel(), ns.ravel()])
-            vals = np.concatenate([i_drain.ravel(), -i_drain.ravel()])
-            bflat = np.concatenate([bidx.ravel(), bidx.ravel()])
-            keep = rows >= 0
-            np.add.at(residual, (bflat[keep], rows[keep]), vals[keep])
-
-            # Jacobian: the six square-law entries of every device at once.
-            g_sum = gm + gds
-            rows = np.concatenate(
-                [nd.ravel(), nd.ravel(), nd.ravel(), ns.ravel(), ns.ravel(), ns.ravel()]
-            )
-            cols = np.concatenate(
-                [ng.ravel(), nd.ravel(), ns.ravel(), ng.ravel(), nd.ravel(), ns.ravel()]
-            )
-            vals = np.concatenate(
-                [
-                    gm.ravel(),
-                    gds.ravel(),
-                    -g_sum.ravel(),
-                    -gm.ravel(),
-                    -gds.ravel(),
-                    g_sum.ravel(),
-                ]
-            )
-            bflat = np.concatenate([bidx.ravel()] * 6)
-            keep = (rows >= 0) & (cols >= 0)
-            np.add.at(jacobian, (bflat[keep], rows[keep], cols[keep]), vals[keep])
+        program = self.program
+        devices = program.devices
+        count, n = x.shape
+        swap, vgs, vds, vsb = devices.bias(x)
+        ids, gm, gds, _, _ = batch_dc_params(devices.card, weff, length, vgs, vds, vsb)
+        values = np.concatenate(
+            [
+                jacobian.reshape(count, n * n),
+                residual,
+                gm,
+                gds,
+                gm + gds,
+                devices.card.polarity * ids,
+            ],
+            axis=1,
+        )
+        sums = program.dc_devices.sums(values, swap)
+        return sums[:, : n * n].reshape(count, n, n), sums[:, n * n :]
 
 
-def _subset_system(
-    template: BatchTemplate,
-    rows: Optional[np.ndarray],
-    gmin: float,
-    source_scale: float,
-) -> _DCAssembler:
-    """A :class:`_DCAssembler` over ``rows`` of ``template`` (``None``: all)."""
-    sub = template if rows is None else template.subset(rows)
-    return _DCAssembler(sub, gmin, source_scale)
+class _DCSystem:
+    """A :class:`_DCAssembler` restricted to rows, at one gmin and source scale."""
+
+    def __init__(
+        self,
+        assembler: _DCAssembler,
+        rows: Optional[np.ndarray],
+        gmin: float,
+        source_scale: float,
+    ):
+        if rows is None:
+            rows = np.arange(len(assembler.static))
+        self.assembler = assembler
+        self.batch_size = len(rows)
+        self.num_nodes = assembler.program.num_nodes
+        self.jacobian = assembler.jacobian(rows, gmin)
+        self.sources = assembler.program.dc_sources.sums(assembler.sources[rows] * source_scale)
+        self.weff = assembler.weff[rows]
+        self.length = assembler.length[rows]
+
+    def assemble(
+        self, x: np.ndarray, active: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Jacobian and residual of the ``active`` rows at iterates ``x`` ``(K, n)``."""
+        # Advanced indexing already yields a fresh array.
+        jacobian = self.jacobian[active]
+        residual = np.matmul(jacobian, x[:, :, None])[:, :, 0] + self.sources[active]
+        return self.assembler.stamp(
+            jacobian, residual, x, self.weff[active], self.length[active]
+        )
 
 
 # Value blocks of the scalar-order assembler, in concatenation order: the
@@ -287,16 +186,6 @@ def _subset_system(
 # currents and gmin's currents.  A column's sign negates its value where the
 # scalar stamp subtracts.
 _BLOCKS = ("static", "gm", "gds", "gsum", "cur", "ib", "vkvl", "ekvl", "isrc", "id", "gx")
-#: ``MOSFET.stamp_dc``'s Jacobian entries in order: ``(row, col)`` terminals
-#: (drain, gate, source), value block and sign.
-_MOSFET_ENTRIES = (
-    ("d", "g", "gm", 1.0),
-    ("d", "d", "gds", 1.0),
-    ("d", "s", "gsum", -1.0),
-    ("s", "g", "gm", -1.0),
-    ("s", "d", "gds", -1.0),
-    ("s", "s", "gsum", 1.0),
-)
 
 
 class _ScalarOrderAssembler:
@@ -322,11 +211,9 @@ class _ScalarOrderAssembler:
         n = template.num_unknowns
         batch = template.batch_size
         self.num_nodes = template.num_nodes
-        self.devices = (
-            _CardGroup(stack_cards([g.card for g in template.mosfets]), template.mosfets)
-            if template.mosfets
-            else None
-        )
+        self.devices = stamp_program(template).devices
+        self.weff = stack_columns([group.weff for group in template.mosfets], batch)
+        self.length = stack_columns([group.length for group in template.mosfets], batch)
         device = {group.name: m for m, group in enumerate(template.mosfets)}
         groups = {
             kind: iter(getattr(template, kind))
@@ -402,8 +289,9 @@ class _ScalarOrderAssembler:
                 nd, ng, ns, _ = element.nodes
                 normal = {"d": nd, "g": ng, "s": ns}
                 swapped = {"d": ns, "g": ng, "s": nd}
-                for row, col, block, sign in _MOSFET_ENTRIES:
+                for row, col, kind, sign in MOSFET_ENTRIES:
                     target = entry(normal[row], normal[col])
+                    block = _BLOCKS[1 + kind]
                     add(target, block, m, sign, entry(swapped[row], swapped[col]), m)
                 add(node(nd), "id", m, 1.0, node(ns), m)
                 add(node(ns), "id", m, -1.0, node(nd), m)
@@ -426,28 +314,26 @@ class _ScalarOrderAssembler:
             "gx": self.num_nodes,
         }
         offsets = dict(zip(_BLOCKS, np.cumsum([0] + [sizes[b] for b in _BLOCKS])))
-        normal, swapped, mosfet, block, index, sign = zip(*columns)
-        self.normal = np.asarray(normal)
-        self.swapped = np.asarray(swapped)
-        self.mosfet = np.asarray(mosfet)
-        self.order = np.asarray([offsets[b] + i for b, i in zip(block, index)])
-        self.sign = np.asarray(sign)
-
-        def stacked(values: List[np.ndarray]) -> np.ndarray:
-            return np.stack(values, axis=1) if values else np.zeros((batch, 0))
+        self.columns = Columns(
+            ground,
+            [
+                (target, swapped, mosfet, offsets[block] + index, sign)
+                for target, swapped, mosfet, block, index, sign in columns
+            ],
+        )
 
         def terminals(nodes: list, width: int) -> np.ndarray:
             return np.asarray(nodes, dtype=int).reshape(len(nodes), width).T
 
-        self.static = stacked(static)  # (B, C_static)
-        self.cond_g = stacked(cond_g)
+        self.static = stack_columns(static, batch)  # (B, C_static)
+        self.cond_g = stack_columns(cond_g, batch)
         self.cond_nodes = terminals(cond_nodes, 2)
         self.branch = np.asarray(branch, dtype=int)
         self.vs_nodes = terminals(vs_nodes, 2)
-        self.vs_dc = stacked(vs_dc)
+        self.vs_dc = stack_columns(vs_dc, batch)
         self.vcvs_nodes = terminals(vcvs_nodes, 4)
-        self.vcvs_gain = stacked(vcvs_gain)
-        self.i_dc = stacked(i_dc)
+        self.vcvs_gain = stack_columns(vcvs_gain, batch)
+        self.i_dc = stack_columns(i_dc, batch)
 
     def system(
         self, rows: Optional[np.ndarray], gmin: float, source_scale: float
@@ -458,23 +344,6 @@ class _ScalarOrderAssembler:
         solver never uses one).
         """
         return _ScalarOrderSystem(self, rows, gmin, source_scale)
-
-
-def _accumulate(values: np.ndarray, targets: np.ndarray, slots: int) -> np.ndarray:
-    """Per-row sums of ``values`` ``(K, C)`` into ``slots`` entries.
-
-    ``targets`` ``(K, C)`` name each value's entry, ``slots`` itself being
-    the discarded ground slot.  ``np.bincount`` adds in index order from
-    ``0.0``, so each entry is summed over its columns left to right.
-
-    Returns:
-        ``(K, slots)`` sums.
-    """
-    count = values.shape[0]
-    width = slots + 1
-    flat = targets + (np.arange(count) * width)[:, None]
-    sums = np.bincount(flat.ravel(), weights=values.ravel(), minlength=count * width)
-    return sums.reshape(count, width)[:, :slots]
 
 
 class _ScalarOrderSystem:
@@ -499,21 +368,17 @@ class _ScalarOrderSystem:
         self.vs_value = assembler.vs_dc[rows] * source_scale
         self.vcvs_gain = assembler.vcvs_gain[rows]
         self.i_value = assembler.i_dc[rows] * source_scale
-        if assembler.devices is not None:
-            self.weff = assembler.devices.weff[rows]
-            self.length = assembler.devices.length[rows]
+        self.weff = assembler.weff[rows]
+        self.length = assembler.length[rows]
 
     def _devices(self, x: np.ndarray, active: np.ndarray) -> Tuple[np.ndarray, ...]:
         """Swap mask, drain current, ``gm`` and ``gds`` of every MOSFET, ``(K, M)``."""
         devices = self.assembler.devices
-        if devices is None:
-            empty = np.zeros((x.shape[0], 0))
-            return empty.astype(bool), empty, empty, empty
-        nd, _, vgs, vds, vsb = devices.bias(x)
+        swap, vgs, vds, vsb = devices.bias(x)
         ids, gm, gds, _, _ = batch_dc_params(
             devices.card, self.weff[active], self.length[active], vgs, vds, vsb, libm_exp=True
         )
-        return nd != devices.drain, devices.card.polarity * ids, gm, gds
+        return swap, devices.card.polarity * ids, gm, gds
 
     def assemble(
         self, x: np.ndarray, active: np.ndarray
@@ -522,7 +387,7 @@ class _ScalarOrderSystem:
         a = self.assembler
         count, n = x.shape
         swap, i_drain, gm, gds = self._devices(x, active)
-        xg = _ground_padded(x)
+        xg = ground_padded(x)
         cond_v = xg[:, a.cond_nodes[0]] - xg[:, a.cond_nodes[1]]
         vs_v = xg[:, a.vs_nodes[0]] - xg[:, a.vs_nodes[1]]
         vcvs_out = xg[:, a.vcvs_nodes[0]] - xg[:, a.vcvs_nodes[1]]
@@ -543,10 +408,7 @@ class _ScalarOrderSystem:
             ],
             axis=1,
         )
-        # The appended column reads "not swapped" for columns of no MOSFET (-1).
-        swap = np.concatenate([swap, np.zeros((count, 1), dtype=bool)], axis=1)
-        targets = np.where(swap[:, a.mosfet], a.swapped, a.normal)
-        sums = _accumulate(blocks[:, a.order] * a.sign, targets, n * n + n)
+        sums = a.columns.sums(blocks, swap)
         return sums[:, : n * n].reshape(count, n, n), sums[:, n * n :]
 
 
@@ -781,7 +643,7 @@ def batch_dc_operating_point(
     return _operating_points(
         circuits,
         template,
-        partial(_subset_system, template),
+        _DCAssembler(template).system,
         max_iterations,
         abstol,
         vtol,

@@ -1,9 +1,11 @@
 """Batched adjoint noise analysis over a stack of same-topology circuits.
 
 One batched solve of the transposed AC tensor (``A^T y = e_out``) yields the
-adjoint vectors for every (design, frequency) pair at once; each noise
-source then costs a vectorized transfer-impedance lookup per design, exactly
-mirroring the scalar :func:`repro.spice.noise.noise_analysis` arithmetic.
+adjoint vectors for every (design, frequency) pair at once.  The tensor
+comes from the chunk's :class:`~repro.spice.batch.ac.ACSystem`, shared with
+the AC sweep.  Each noise source then costs one transfer-impedance lookup
+over the whole batch and one array call of its PSD per design, mirroring the
+scalar :func:`repro.spice.noise.noise_analysis` arithmetic exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.spice.ac import logspace_frequencies
-from repro.spice.batch.ac import build_batch_ac_tensor
+from repro.spice.batch.ac import ACSystem
 from repro.spice.batch.template import BatchTemplate
 from repro.spice.dc import DCSolution
 from repro.spice.linalg import solve_stacked
@@ -27,19 +29,21 @@ def batch_noise_analysis(
     frequencies: Optional[Sequence[float]] = None,
     output_node_neg: Optional[str] = None,
     template: Optional[BatchTemplate] = None,
+    system: Optional[ACSystem] = None,
 ) -> List[NoiseSolution]:
     """Output-referred noise PSD for every design of a batch in one solve.
 
     Args and semantics match :func:`repro.spice.noise.noise_analysis`; the
     output node is resolved on the template circuit (all circuits share its
-    node table).
+    node table).  ``template`` and ``system`` are as in
+    :func:`~repro.spice.batch.ac.batch_ac_analysis`.
 
     Returns:
         One :class:`NoiseSolution` per design.
     """
     circuits = list(circuits)
-    if template is None:
-        template = BatchTemplate(circuits)
+    if system is None:
+        system = ACSystem(BatchTemplate(circuits) if template is None else template, ops)
     if frequencies is None:
         frequencies = logspace_frequencies()
     freqs = np.asarray(list(frequencies), dtype=float)
@@ -47,39 +51,39 @@ def batch_noise_analysis(
     reference = circuits[0]
     out_index = reference.node(output_node)
     out_neg_index = reference.node(output_node_neg) if output_node_neg else -1
-    n = template.num_unknowns
+    batch, n = len(circuits), reference.num_unknowns
     selector = np.zeros(n, dtype=complex)
     if out_index >= 0:
         selector[out_index] = 1.0
     if out_neg_index >= 0:
         selector[out_neg_index] = -1.0
 
-    tensor, _ = build_batch_ac_tensor(template, ops, freqs)
-    transposed = np.swapaxes(tensor, -1, -2)
-    stacked_rhs = np.broadcast_to(
-        selector, (template.batch_size, len(freqs), n)
+    stacked_rhs = np.broadcast_to(selector, (batch, len(freqs), n))
+    adjoints = solve_stacked(
+        np.swapaxes(system.tensor(freqs), -1, -2), stacked_rhs, context="batched noise sweep"
     )
-    adjoints = solve_stacked(transposed, stacked_rhs, context="batched noise sweep")
 
-    solutions: List[NoiseSolution] = []
-    for index, circuit in enumerate(circuits):
-        adjoint = adjoints[index]  # (F, n)
-        sources = _collect_noise_sources(circuit, ops[index])
-        total = np.zeros(len(freqs), dtype=float)
-        contributions = {}
-        psd_freqs = [float(f) for f in freqs]
-        for source in sources:
-            za = adjoint[:, source.node_a] if source.node_a >= 0 else 0.0
-            zb = adjoint[:, source.node_b] if source.node_b >= 0 else 0.0
-            transfer_sq = np.abs(za - zb) ** 2
-            psd = transfer_sq * np.asarray(
-                [source.psd(f) for f in psd_freqs], dtype=float
-            )
-            contributions[source.name] = psd
-            total += psd
-        solutions.append(
-            NoiseSolution(
-                frequencies=freqs, output_psd=total, contributions=contributions
-            )
-        )
-    return solutions
+    sources = [_collect_noise_sources(circuit, op) for circuit, op in zip(circuits, ops)]
+    rows = np.arange(batch)
+    total = np.zeros((batch, len(freqs)))
+    contributions: List[dict] = [{} for _ in circuits]
+
+    def transfer(nodes: np.ndarray) -> np.ndarray:
+        """Adjoint voltage ``(B, F)`` at each row's node, zero on ground (-1)."""
+        picked = adjoints[rows, :, nodes]
+        picked[nodes < 0] = 0.0
+        return picked
+
+    for position, source in enumerate(sources[0]):
+        peers = [design[position] for design in sources]
+        node_a = np.asarray([peer.node_a for peer in peers])
+        node_b = np.asarray([peer.node_b for peer in peers])
+        transfer_sq = np.abs(transfer(node_a) - transfer(node_b)) ** 2
+        psd = transfer_sq * np.stack([peer.psd(freqs) for peer in peers])
+        for row in rows:
+            contributions[row][source.name] = psd[row]
+        total += psd
+    return [
+        NoiseSolution(frequencies=freqs, output_psd=total[row], contributions=contributions[row])
+        for row in rows
+    ]

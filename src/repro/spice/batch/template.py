@@ -3,16 +3,18 @@
 A :class:`BatchTemplate` is built from a list of circuits produced by the
 same :meth:`~repro.circuits.base.CircuitDesign.build_circuit` for different
 sizings.  It asserts that the circuits are structurally identical (same
-elements, nodes and MNA indices, in the same order) and gathers each
-element's per-design values into ``(B,)`` arrays, which is what the batched
-DC/AC/noise engines stamp from.
+elements, nodes, MNA indices and MOSFET model cards, in the same order) and
+gathers each element's per-design values into ``(B,)`` arrays, which is what
+the batched DC/AC/noise engines stamp from.  Its :attr:`~BatchTemplate.key`
+names the shared structure and cards; the engines look their compiled stamp
+program up under it (:func:`repro.spice.batch.program.stamp_program`).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields, replace
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -117,11 +119,17 @@ def _take_rows(group, rows: np.ndarray):
 
 @dataclass
 class BatchTemplate:
-    """Structural description of a batch of same-topology circuits."""
+    """Structural description of a batch of same-topology circuits.
+
+    ``key`` is hashable and equal for two templates exactly when their
+    circuits share element types, names, nodes and branches, and model cards
+    (by value, together with which devices share one card object).
+    """
 
     circuits: List[Circuit] = field(default_factory=list)
     num_unknowns: int = 0
     num_nodes: int = 0
+    key: tuple = ()
     conductances: List[_ConductanceGroup] = field(default_factory=list)
     capacitors: List[_CapacitorGroup] = field(default_factory=list)
     vsources: List[_SourceGroup] = field(default_factory=list)
@@ -177,14 +185,34 @@ class BatchTemplate:
                         f"element {theirs.name!r} of {circuit.title!r} does not "
                         f"match the batch template element {ours.name!r}"
                     )
+                # Every row is stamped with the reference's model cards.
+                if (
+                    isinstance(ours, MOSFET)
+                    and ours.card is not theirs.card
+                    and ours.card != theirs.card
+                ):
+                    raise BatchIncompatibleError(
+                        f"MOSFET {theirs.name!r} of {circuit.title!r} uses model card "
+                        f"{theirs.card.name!r}, the batch template {ours.card.name!r}"
+                    )
 
     def _gather(self, attr_values) -> np.ndarray:
         return np.asarray(attr_values, dtype=float)
 
     def _extract_values(self) -> None:
         reference = self.circuits[0]
+        structure: list = [self.num_unknowns, self.num_nodes]
+        card_index: Dict[int, int] = {}
+        cards: List[MOSFETModelCard] = []
         for position, element in enumerate(reference.elements):
             peers = [circuit.elements[position] for circuit in self.circuits]
+            signature = (type(element), element.name, element.nodes, element.branch_index)
+            if isinstance(element, MOSFET):
+                if id(element.card) not in card_index:
+                    card_index[id(element.card)] = len(cards)
+                    cards.append(element.card)
+                signature += (card_index[id(element.card)],)
+            structure.append(signature)
             if isinstance(element, Resistor):
                 n1, n2 = element.nodes
                 self.conductances.append(
@@ -251,6 +279,7 @@ class BatchTemplate:
                     f"element {element.name!r} of type {type(element).__name__} "
                     "has no batched stamp"
                 )
+        self.key = (tuple(structure), tuple(cards))
 
     # --- helpers shared by the engines ---------------------------------------------
     def max_supply(self) -> np.ndarray:

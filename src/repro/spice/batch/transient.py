@@ -10,11 +10,12 @@ iterations keeps going from its last iterate but loses its ``converged``
 flag.  Rows may carry different stimuli: source waveforms are read from
 each row's own circuit.
 
-Assembly reuses the DC engine: the static system (resistors, capacitor
-companions ``C/dt``, source branches, gmin) is stamped once, MOSFET drain
-currents go through :meth:`_DCAssembler.stamp_mosfets` every iteration, and
-the MOSFET gate/junction capacitances are evaluated once per step at the
-previous solution, as the scalar engine does.
+Assembly reuses the DC engine's compiled stamp program: the static system
+(resistors, capacitor companions ``C/dt``, source branches, gmin) is summed
+once, every iteration adds the MOSFET drain currents through the fused
+:meth:`_DCAssembler.stamp` pass, and the MOSFET gate/junction capacitances
+are evaluated once per step at the previous solution, as the scalar engine
+does, and summed with one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.spice.batch.dc import _DCAssembler, solve_newton_step, stamp_conductance
+from repro.spice.batch.dc import _DCAssembler, solve_newton_step
 from repro.spice.batch.model import batch_small_signal_params
+from repro.spice.batch.program import stack_columns
 from repro.spice.batch.template import BatchTemplate
 from repro.spice.circuit import Circuit
 from repro.spice.dc import DCSolution
@@ -81,30 +83,19 @@ def _mosfet_companions(
 
     Returns the ``(B, n, n)`` conductance matrix of ``cgs`` (gate–source),
     ``cgd`` (gate–drain) and ``cdb`` (drain–bulk) of every device, with
-    drain and source taken after the bias-dependent swap.
+    drain and source taken after the bias-dependent swap: one model
+    evaluation over all devices and one ``np.bincount``.
     """
     batch, n = x_prev.shape
-    companions = np.zeros((batch, n, n))
-    for cg in assembler.card_groups:
-        nd, ns, vgs, vds, vsb = cg.bias(x_prev)
-        params = batch_small_signal_params(cg.card, cg.weff, cg.length, vgs, vds, vsb)
-        ng = np.broadcast_to(cg.gate[None, :], nd.shape)
-        nb = np.broadcast_to(cg.bulk[None, :], nd.shape)
-        bidx = np.broadcast_to(np.arange(batch)[:, None], nd.shape).ravel()
-        rows, cols, vals = [], [], []
-        for n1, n2, cap in ((ng, ns, params.cgs), (ng, nd, params.cgd), (nd, nb, params.cdb)):
-            geq = np.where(cap > 0, cap / dt, 0.0).ravel()
-            a, b = n1.ravel(), n2.ravel()
-            rows += [a, b, a, b]
-            cols += [a, b, b, a]
-            vals += [geq, geq, -geq, -geq]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        keep = (rows >= 0) & (cols >= 0)
-        bflat = np.tile(bidx, len(vals))
-        np.add.at(
-            companions, (bflat[keep], rows[keep], cols[keep]), np.concatenate(vals)[keep]
-        )
-    return companions
+    program = assembler.program
+    devices = program.devices
+    swap, vgs, vds, vsb = devices.bias(x_prev)
+    params = batch_small_signal_params(
+        devices.card, assembler.weff, assembler.length, vgs, vds, vsb
+    )
+    caps = np.concatenate([params.cgs, params.cgd, params.cdb], axis=1)
+    geq = np.where(caps > 0, caps / dt, 0.0)
+    return program.companions.sums(geq, swap).reshape(batch, n, n)
 
 
 def batch_transient_analysis(
@@ -131,19 +122,19 @@ def batch_transient_analysis(
     template = BatchTemplate(circuits)
     num_steps = max(int(round(t_stop / dt)), 1)
     times = np.linspace(0.0, num_steps * dt, num_steps + 1)
-    batch, num_nodes = template.batch_size, template.num_nodes
+    batch, n, num_nodes = template.batch_size, template.num_unknowns, template.num_nodes
 
-    assembler = _DCAssembler(template, TRANSIENT_GMIN, 0.0, dt=dt)
-    j_static = assembler.j_static
-    linear_companions = np.zeros_like(j_static)
-    for cap in template.capacitors:
-        stamp_conductance(linear_companions, cap.n1, cap.n2, cap.c / dt)
+    assembler = _DCAssembler(template, dt=dt)
+    j_static = assembler.jacobian(np.arange(batch), TRANSIENT_GMIN)
+    linear_companions = assembler.program.capacitors.sums(
+        stack_columns([cap.c / dt for cap in template.capacitors], batch)
+    ).reshape(batch, n, n)
     excitation = _source_vectors(template, times)
 
     x_prev = np.stack([np.asarray(op.x, dtype=float) for op in initial_ops])
     converged = np.array([bool(op.converged) for op in initial_ops])
     diverged = np.zeros(batch, dtype=bool)
-    solutions = np.zeros((batch, len(times), template.num_unknowns))
+    solutions = np.zeros((batch, len(times), n))
     solutions[:, 0] = x_prev
 
     for step in range(1, len(times)):
@@ -163,7 +154,9 @@ def batch_transient_analysis(
             x_active = x[active]
             jacobian = jacobian_step[active]
             residual = np.matmul(jacobian, x_active[:, :, None])[:, :, 0] + rhs_step[active]
-            assembler.stamp_mosfets(jacobian, residual, x_active, active)
+            jacobian, residual = assembler.stamp(
+                jacobian, residual, x_active, assembler.weff[active], assembler.length[active]
+            )
             delta = solve_newton_step(jacobian, residual, ridge=0.0)
             node_step = delta[:, :num_nodes]
             biggest = np.max(np.abs(node_step), axis=1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,13 +65,14 @@ class NoiseContribution:
     """A white or 1/f current-noise source between two circuit nodes.
 
     ``psd(f)`` returns the one-sided current power spectral density [A^2/Hz]
-    at frequency ``f``.
+    at frequency ``f``, a float or an array of frequencies (then one value
+    per frequency, in one call).
     """
 
     name: str
     node_a: int
     node_b: int
-    psd: Callable[[float], float]
+    psd: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 
 def _voltage_at(v: np.ndarray, node: int) -> float:
@@ -173,7 +174,7 @@ class Resistor(Element):
                 name=f"{self.name}:thermal",
                 node_a=self.nodes[0],
                 node_b=self.nodes[1],
-                psd=lambda f, p=psd_value: p,
+                psd=lambda f, p=psd_value: np.full(np.shape(f), p),
             )
         ]
 
@@ -512,8 +513,8 @@ class MOSFET(Element):
         thermal = 4.0 * BOLTZMANN * ROOM_TEMPERATURE * self.THERMAL_NOISE_GAMMA * gm
         flicker_scale = card.kf * (ids**card.af) / (card.cox * area)
 
-        def psd(f: float, th=thermal, fl=flicker_scale) -> float:
-            return th + fl / max(f, 1e-3)
+        def psd(f, th=thermal, fl=flicker_scale):
+            return th + fl / np.maximum(f, 1e-3)
 
         return [
             NoiseContribution(

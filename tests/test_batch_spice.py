@@ -1,5 +1,6 @@
 """Tests for the vectorized batch MNA engine (``repro.spice.batch``)."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -15,6 +16,8 @@ from repro.spice.batch import (
     batch_dc_operating_point,
     batch_noise_analysis,
     batch_small_signal_params,
+    batch_transient_analysis,
+    stacked_dc_operating_point,
 )
 from repro.spice.batch.model import batch_dc_params, stack_cards
 from repro.spice.dc import dc_operating_point
@@ -83,6 +86,31 @@ class TestBatchTemplate:
         circuits[1].add(Resistor("Rextra", "vout", "0", 1e3))
         with pytest.raises(BatchIncompatibleError):
             BatchTemplate(circuits)
+
+    def test_rejects_mixed_model_cards(self, two_tia):
+        """Every row is stamped with the reference's cards: mixing nodes is refused."""
+        nm45 = get_circuit("two_tia", "45nm")
+        circuits = [
+            two_tia.build_circuit(two_tia.expert_sizing()),
+            nm45.build_circuit(nm45.expert_sizing()),
+        ]
+        with pytest.raises(BatchIncompatibleError, match="model card"):
+            BatchTemplate(circuits)
+        with pytest.raises(BatchIncompatibleError):
+            batch_dc_operating_point(circuits)
+        with pytest.raises(BatchIncompatibleError):
+            stacked_dc_operating_point(circuits)
+        ops = [dc_operating_point(circuit) for circuit in circuits]
+        with pytest.raises(BatchIncompatibleError):
+            batch_transient_analysis(circuits, ops, 1e-8, 1e-9)
+
+    def test_accepts_equal_cards_of_distinct_objects(self, two_tia):
+        circuit = two_tia.build_circuit(two_tia.expert_sizing())
+        twin = two_tia.build_circuit(two_tia.expert_sizing())
+        for mosfet in twin.mosfets():
+            mosfet.card = dataclasses.replace(mosfet.card)
+        first, second = batch_dc_operating_point([circuit, twin])
+        assert np.array_equal(first.x, second.x)
 
     def test_rejects_empty_batch(self):
         with pytest.raises(BatchIncompatibleError):
