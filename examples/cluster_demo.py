@@ -14,7 +14,7 @@ out, the next scan steals the cell.)
 The punchline is printed at the end: the evaluations of the cells the
 survivor completed equal the grid's budget exactly (the takeover re-paid
 nothing), and the sweep's records are bit-identical to an uninterrupted
-serial run — the same invariants the ``cluster-smoke`` CI job enforces.
+serial run — the same invariants the ``resume-smoke`` CI job enforces.
 
 Run with:
     PYTHONPATH=src python examples/cluster_demo.py [--steps 200]

@@ -74,7 +74,7 @@ VALIDATION_TYPES = frozenset({"ValueError", "TypeError", "KeyError"})
 
 #: Function names treated as construction/validation context.
 CONSTRUCTOR_FUNCTIONS = frozenset(
-    {"__init__", "__post_init__", "__new__", "from_dict", "build_spec"}
+    {"__init__", "__post_init__", "__new__", "from_dict"}
 )
 
 

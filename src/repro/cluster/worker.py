@@ -79,7 +79,7 @@ class WorkerReport:
     keys: List[RunKey] = field(default_factory=list)
 
     def summary(self) -> str:
-        """Stable one-line form (grep target of the cluster-smoke CI job).
+        """Stable one-line form (grep target of the resume-smoke CI job).
 
         New counters append at the end so substring greps over the older
         fields keep matching.

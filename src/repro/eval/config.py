@@ -64,8 +64,7 @@ class EvaluatorConfig:
         """Canonical hashable form for run-cache keys."""
         # The ``None`` fills the slot of the retired worker-pool size, so
         # stores and checkpoints written before the pool backends were
-        # removed (including journaled service jobs re-adopted by an
-        # upgraded server) keep matching their run keys.
+        # removed keep matching their run keys.
         return ("evaluator", self.backend, None, self.cache_size)
 
 

@@ -373,7 +373,7 @@ def _ls_status(settings: ExperimentSettings, store: RunStore, args) -> None:
     counts = {state: 0 for state in CELL_STATES}
     for cell in states:
         counts[cell.state] += 1
-    # New counters append at the end: the cluster-smoke CI job greps the
+    # New counters append at the end: the resume-smoke CI job greps the
     # prefix of this line.
     print(
         f"cells: total={len(states)} done={counts['done']} "

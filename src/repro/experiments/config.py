@@ -28,22 +28,13 @@ from repro.eval import BACKENDS, EvaluatorConfig
 from repro.store import RunStore, open_run_store
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(name: str, default: int, minimum: int) -> int:
+    """``int`` of an environment variable clamped to ``minimum``, else ``default``."""
     value = os.environ.get(name)
     if value is None:
         return default
     try:
-        return max(int(value), 1)
-    except ValueError:
-        return default
-
-
-def _env_nonneg_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return max(int(value), 0)
+        return max(int(value), minimum)
     except ValueError:
         return default
 
@@ -96,16 +87,16 @@ class ExperimentSettings:
         store_dir: Run-store directory; empty keeps runs in process memory.
     """
 
-    steps: int = field(default_factory=lambda: _env_int("REPRO_STEPS", 80))
-    seeds: int = field(default_factory=lambda: _env_int("REPRO_SEEDS", 2))
+    steps: int = field(default_factory=lambda: _env_int("REPRO_STEPS", 80, 1))
+    seeds: int = field(default_factory=lambda: _env_int("REPRO_SEEDS", 2, 1))
     pretrain_steps: int = field(
-        default_factory=lambda: _env_int("REPRO_PRETRAIN_STEPS", 120)
+        default_factory=lambda: _env_int("REPRO_PRETRAIN_STEPS", 120, 1)
     )
     transfer_steps: int = field(
-        default_factory=lambda: _env_int("REPRO_TRANSFER_STEPS", 60)
+        default_factory=lambda: _env_int("REPRO_TRANSFER_STEPS", 60, 1)
     )
     transfer_warmup: int = field(
-        default_factory=lambda: _env_int("REPRO_TRANSFER_WARMUP", 20)
+        default_factory=lambda: _env_int("REPRO_TRANSFER_WARMUP", 20, 1)
     )
     warmup_fraction: float = field(
         default_factory=lambda: _env_float("REPRO_WARMUP_FRACTION", 0.33)
@@ -129,7 +120,7 @@ class ExperimentSettings:
         default_factory=lambda: _env_choice("REPRO_EVAL_BACKEND", "local", BACKENDS)
     )
     eval_cache_size: int = field(
-        default_factory=lambda: _env_nonneg_int("REPRO_EVAL_CACHE", 0)
+        default_factory=lambda: _env_int("REPRO_EVAL_CACHE", 0, 0)
     )
     store_dir: str = field(default_factory=lambda: os.environ.get("REPRO_STORE_DIR", ""))
 

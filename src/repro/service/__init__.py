@@ -8,9 +8,10 @@ checkpointable ask/tell driver into a server any number of clients share:
 * :class:`BatchCoalescer` — merges concurrent evaluate requests for the
   same circuit×technology bucket into shared simulator batches, deduped
   against in-flight work and already-stored results.
-* :class:`RunSupervisor` — executes run requests as supervised jobs that
-  stream per-step progress, checkpoint to the run store, and are re-adopted
-  from their checkpoints when a killed server restarts (lossless restart).
+* :class:`RunSupervisor` — queues run requests as run-store cells and runs
+  each on an in-process :class:`~repro.cluster.CampaignWorker` that streams
+  per-step progress and checkpoints under a lease; a restarted server adopts
+  every unfinished queued cell from its checkpoint (lossless restart).
 * :class:`ServiceClient` — the blocking stdlib-socket client.
 * :class:`ServiceConfig` — declarative server configuration
   (``REPRO_SERVE_*`` environment overrides).
@@ -34,7 +35,7 @@ from repro.service.protocol import (
     validate_request,
 )
 from repro.service.server import OptimizationService, ServerThread, run_service
-from repro.service.supervisor import Job, JobSpec, RunSupervisor
+from repro.service.supervisor import Job, RunSupervisor
 
 __all__ = [
     "OptimizationService",
@@ -50,7 +51,6 @@ __all__ = [
     "OverloadedError",
     "RunSupervisor",
     "Job",
-    "JobSpec",
     "ProtocolError",
     "encode_frame",
     "decode_frame",

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.eval import BACKENDS, EvaluatorConfig
+from repro.experiments.config import _env_float, _env_int
 from repro.resilience import RetryPolicy
 
 #: Default TCP port of the optimization service.
@@ -37,26 +38,6 @@ DEFAULT_LINGER_MS = 10.0
 
 #: Default per-bucket design-cache capacity (dedup across clients needs it).
 DEFAULT_CACHE_SIZE = 4096
-
-
-def _env_int(name: str, default: int, minimum: int = 0) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return max(int(value), minimum)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    if value is None:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -97,27 +78,27 @@ class ServiceConfig:
         default_factory=lambda: os.environ.get("REPRO_SERVE_HOST", "127.0.0.1")
     )
     port: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_PORT", DEFAULT_PORT)
+        default_factory=lambda: _env_int("REPRO_SERVE_PORT", DEFAULT_PORT, 0)
     )
     store_dir: str = ""
     eval_backend: str = "local"
     cache_size: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_CACHE", DEFAULT_CACHE_SIZE)
+        default_factory=lambda: _env_int("REPRO_SERVE_CACHE", DEFAULT_CACHE_SIZE, 0)
     )
     checkpoint_every: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_CHECKPOINT_EVERY", 1)
+        default_factory=lambda: _env_int("REPRO_SERVE_CHECKPOINT_EVERY", 1, 0)
     )
     linger_ms: float = field(
         default_factory=lambda: _env_float("REPRO_SERVE_LINGER_MS", DEFAULT_LINGER_MS)
     )
     max_batch: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_MAX_BATCH", 64, minimum=1)
+        default_factory=lambda: _env_int("REPRO_SERVE_MAX_BATCH", 64, 1)
     )
     max_pending: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_MAX_PENDING", 0)
+        default_factory=lambda: _env_int("REPRO_SERVE_MAX_PENDING", 0, 0)
     )
     eval_attempts: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_EVAL_ATTEMPTS", 3, minimum=1)
+        default_factory=lambda: _env_int("REPRO_SERVE_EVAL_ATTEMPTS", 3, 1)
     )
     eval_deadline_s: float = field(
         default_factory=lambda: _env_float("REPRO_SERVE_EVAL_DEADLINE", 0.0)
@@ -126,10 +107,10 @@ class ServiceConfig:
         default_factory=lambda: _env_float("REPRO_SERVE_CHAOS_RATE", 0.0)
     )
     chaos_seed: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_CHAOS_SEED", 0)
+        default_factory=lambda: _env_int("REPRO_SERVE_CHAOS_SEED", 0, 0)
     )
     chaos_transient: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVE_CHAOS_TRANSIENT", 1)
+        default_factory=lambda: _env_int("REPRO_SERVE_CHAOS_TRANSIENT", 1, 0)
     )
 
     def __post_init__(self):

@@ -6,8 +6,9 @@ steps — runs in worker threads and reports back via thread-safe callbacks):
 
 * one :class:`~repro.service.coalescer.BatchCoalescer` merges every
   connection's evaluate traffic into shared simulator batches, and
-* one :class:`~repro.service.supervisor.RunSupervisor` executes run requests
-  as supervised jobs with progress streaming and journal-backed adoption.
+* one :class:`~repro.service.supervisor.RunSupervisor` queues run requests
+  as run-store cells and executes each on an in-process campaign worker,
+  with progress streaming and adoption of unfinished cells at start.
 
 Both protocols share one port: a connection whose first line is an HTTP
 request line (``GET /health HTTP/1.1``) gets a single JSON response and a
@@ -76,7 +77,7 @@ class OptimizationService:
 
     # --- lifecycle ----------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the socket and re-adopt every journaled in-flight run."""
+        """Bind the socket and adopt every unfinished queued run."""
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.config.host,
@@ -97,14 +98,16 @@ class OptimizationService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful stop: close the socket and release evaluators.
+        """Graceful stop: close the socket, pause the jobs, release evaluators.
 
-        Running jobs are *not* awaited — like a kill, the journal keeps them
-        pending and the next server adopts them from their checkpoints.
+        Running jobs are *not* run to completion: each checkpoints at its
+        next ask/tell boundary and releases its cell, which stays queued for
+        the next server to adopt.
         """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        await self.supervisor.stop()
         self.coalescer.close()
 
     # --- shared handlers ----------------------------------------------------------
@@ -211,22 +214,17 @@ class OptimizationService:
         self, request: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         """Submit a run job; optionally stream its progress on this connection."""
-        spec = self.supervisor.build_spec(
-            request["method"],
-            request["circuit"],
-            request["technology"],
-            request["steps"],
-            request["seed"],
-            checkpoint_every=request.get("checkpoint_every"),
+        job = self.supervisor.submit(
+            request["method"], request["circuit"], request["technology"],
+            request["steps"], request["seed"], request.get("checkpoint_every"),
         )
-        self.supervisor.submit(spec)
-        accepted = {"type": "accepted", "job_id": spec.job_id}
+        accepted = {"type": "accepted", "job_id": job.job_id}
         if request.get("id") is not None:
             accepted["id"] = request["id"]
         await self._send(writer, accepted)
         if not request["stream"]:
             return
-        queue = self.supervisor.subscribe(spec.job_id)
+        queue = self.supervisor.subscribe(job.job_id)
         try:
             while True:
                 frame = await queue.get()
@@ -235,7 +233,7 @@ class OptimizationService:
                     return
         finally:
             # A disconnected subscriber never stops the job itself.
-            self.supervisor.unsubscribe(spec.job_id, queue)
+            self.supervisor.unsubscribe(job.job_id, queue)
 
     # --- HTTP adapter -------------------------------------------------------------
     async def _handle_http(
@@ -302,16 +300,11 @@ class OptimizationService:
             request = validate_request(
                 dict(json.loads(body.decode("utf-8")), type="run", stream=False)
             )
-            spec = self.supervisor.build_spec(
-                request["method"],
-                request["circuit"],
-                request["technology"],
-                request["steps"],
-                request["seed"],
-                checkpoint_every=request.get("checkpoint_every"),
+            job = self.supervisor.submit(
+                request["method"], request["circuit"], request["technology"],
+                request["steps"], request["seed"], request.get("checkpoint_every"),
             )
-            self.supervisor.submit(spec)
-            return 202, {"job_id": spec.job_id}
+            return 202, {"job_id": job.job_id}
         return 404, {"error": f"no route for {method} {path}"}
 
     async def _http_respond(

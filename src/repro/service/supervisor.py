@@ -1,114 +1,80 @@
-"""Supervised optimization runs: actor tasks, progress streams, re-adoption.
+"""Supervised optimization runs: queued store cells, progress streams, adoption.
 
-Each ``run`` request becomes a :class:`Job` — a supervised asyncio task that
-executes the full :func:`~repro.experiments.runner.run_method` machinery
-(store-level dedup, checkpoint/resume, record write) in a worker thread and
-streams the driver's per-step callbacks back to any number of subscribers.
-Jobs outlive their submitting connection: a client may disconnect and fetch
-the result later by job id, or never — the record lands in the store either
-way.
+Each ``run`` request becomes a :class:`Job`: a cell in the run store's queue,
+executed by an in-process :class:`~repro.cluster.CampaignWorker` over a
+one-cell campaign on its own thread.  The worker claims the cell under a
+lease, streams the driver's per-step callbacks to any number of subscribers,
+and files checkpoints and then the record — or, after bounded retries, a
+quarantine marker — under the run's key.  Jobs outlive their submitting
+connection: the record lands in the store whether or not anyone waits.
 
-Lossless restart is journal + checkpoint:
+A job id is the first 12 hex digits of the run key's id, so the queue row,
+the lease and the record share one identity: an identical submission returns
+the existing job, and the lease keeps the cell from being computed twice.
 
-* the **journal** (``service_jobs.jsonl`` in the store directory) records
-  every submitted job's full spec and its terminal state, append-only and
-  tolerant of a torn final line;
-* the **checkpoints** are the ordinary driver checkpoints
-  (strategy + environment + RNG state) filed in the run store every
-  ``checkpoint_every`` steps.
-
-On startup the supervisor replays the journal, and every job without a
-terminal event is re-submitted; ``run_method`` finds the run's checkpoint
-under its canonical key and resumes it bit-identically — so a ``kill -9`` of
-the server loses nothing but the seconds since the last checkpoint, and the
-resumed results are exactly what an uninterrupted server would have produced
-(the PR 5 driver guarantee, now end-to-end across processes).
+Lossless restart is queue + lease + checkpoint.  On startup the supervisor
+adopts every queued cell (the ``queue`` table of ``runs.sqlite``: the key and
+the payload its settings are rebuilt from) with neither a record nor a
+quarantine marker.  A killed server's lease is dropped by the next store open
+on its host (its pid is dead) or expires after its TTL elsewhere, so the
+adopted cell is claimed at once and resumes from its latest driver checkpoint
+bit-identically.  A graceful stop asks every worker to pause: each writes a
+checkpoint at its next ask/tell boundary and releases its lease.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
-import os
-import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+import threading
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Mapping, Optional
 
+from repro.circuits.library import get_circuit
+from repro.cluster import CampaignWorker, lease_store_for
 from repro.eval import EvaluatorConfig
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.driver import DriverStep
-from repro.experiments.runner import RL_METHODS, run_method
 from repro.optim.registry import list_optimizers, unknown_method_message
-from repro.store import MemoryStore, RunStore, open_run_store
+from repro.resilience import classify_exception
+from repro.store import Campaign, MemoryStore, RunKey, RunRequest, RunStore, open_run_store
 
 logger = logging.getLogger("repro.service")
 
-#: Journal file name inside the store directory.
-JOURNAL_NAME = "service_jobs.jsonl"
 
-#: Journal events that end a job's lifecycle.
-TERMINAL_EVENTS = ("done", "failed")
+def job_id_for(key: RunKey) -> str:
+    """The job id of a run: the first 12 hex digits of its key id."""
+    return key.key_id()[:12]
 
 
-@dataclass
-class JobSpec:
-    """Everything needed to (re-)execute one optimization run.
+def _campaign_for(key: RunKey, payload: Mapping[str, Any], store: RunStore) -> Campaign:
+    """The one-cell campaign that runs a queued cell under exactly ``key``.
 
-    Carries the run coordinates *and* the evaluator stack and RL warm-up the
-    submitting server resolved, so a restarted server reconstructs the exact
-    same canonical :class:`~repro.store.RunKey` — and therefore finds the
-    run's checkpoint — even if its own defaults changed in between.
+    Raises ``ValueError`` when the payload no longer rebuilds the key (an
+    evaluator backend that was retired, an edited row): a run must never
+    execute under another key.
     """
-
-    job_id: str
-    method: str
-    circuit: str
-    technology: str
-    steps: int
-    seed: int
-    checkpoint_every: int
-    eval_backend: str = "local"
-    eval_cache_size: int = 0
-    warmup: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "job_id": self.job_id,
-            "method": self.method,
-            "circuit": self.circuit,
-            "technology": self.technology,
-            "steps": int(self.steps),
-            "seed": int(self.seed),
-            "checkpoint_every": int(self.checkpoint_every),
-            "eval_backend": self.eval_backend,
-            "eval_cache_size": int(self.eval_cache_size),
-        }
-        if self.warmup is not None:
-            data["warmup"] = int(self.warmup)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        return cls(
-            job_id=data["job_id"],
-            method=data["method"],
-            circuit=data["circuit"],
-            technology=data["technology"],
-            steps=int(data["steps"]),
-            seed=int(data["seed"]),
-            checkpoint_every=int(data["checkpoint_every"]),
-            eval_backend=data.get("eval_backend", "local"),
-            eval_cache_size=int(data.get("eval_cache_size", 0)),
-            warmup=data.get("warmup"),
+    campaign = Campaign(
+        None,
+        store,
+        settings=ExperimentSettings(warmup_fraction=float(payload["warmup_fraction"])),
+        evaluator_config=EvaluatorConfig(**payload["evaluator"]),
+        cells=[RunRequest(key.method, key.circuit, key.technology, key.steps, key.seed)],
+    )
+    rebuilt = campaign.key_for(campaign.cells[0])
+    if rebuilt.key_id() != key.key_id():
+        # A corrupt queue row, reported as the job's error.
+        raise ValueError(  # repro-lint: ignore[failure-taxonomy]
+            f"queued key {key.canonical()} rebuilds as {rebuilt.canonical()}"
         )
+    return campaign
 
 
 @dataclass
 class Job:
     """Runtime state of one supervised run."""
 
-    spec: JobSpec
+    key: RunKey
     status: str = "running"  # running | done | failed
     adopted: bool = False
     record: Optional[Dict[str, Any]] = None
@@ -119,15 +85,19 @@ class Job:
     subscribers: List[asyncio.Queue] = field(default_factory=list)
     finished: Optional[asyncio.Event] = None
 
+    @property
+    def job_id(self) -> str:
+        return job_id_for(self.key)
+
     def describe(self) -> Dict[str, Any]:
         """Summary row for the ``jobs`` endpoint."""
         summary = {
-            "job_id": self.spec.job_id,
-            "method": self.spec.method,
-            "circuit": self.spec.circuit,
-            "technology": self.spec.technology,
-            "steps": self.spec.steps,
-            "seed": self.spec.seed,
+            "job_id": self.job_id,
+            "method": self.key.method,
+            "circuit": self.key.circuit,
+            "technology": self.key.technology,
+            "steps": self.key.steps,
+            "seed": self.key.seed,
             "status": self.status,
             "adopted": self.adopted,
             "step": self.last_step,
@@ -141,12 +111,12 @@ class Job:
 
 
 class RunSupervisor:
-    """Owns every run job: execution, progress fan-out, journal, adoption.
+    """Owns every run job: queueing, execution, progress fan-out, adoption.
 
     Args:
-        store_dir: Store directory job results/checkpoints persist to, as a
-            SQLite store, next to the journal; without it jobs are
-            in-memory only and restarts lose them.
+        store_dir: Store directory whose ``runs.sqlite`` holds the queue,
+            leases, checkpoints and records; without it jobs are in-memory
+            only and restarts lose them.
         default_checkpoint_every: Checkpoint cadence for jobs that don't
             choose their own.
         evaluator_config: Evaluator stack runs are executed with.
@@ -166,216 +136,165 @@ class RunSupervisor:
         # Without a directory there is nothing to reopen per thread, so every
         # job shares this one instance (dict ops are GIL-atomic enough).
         self._memory_store = None if store_dir else MemoryStore()
+        # The event loop's own handle: queue writes and adoption scans.
+        self._store = self._open_store()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-
-    # --- journal ------------------------------------------------------------------
-    @property
-    def journal_path(self) -> Optional[str]:
-        if not self.store_dir:
-            return None
-        return os.path.join(self.store_dir, JOURNAL_NAME)
-
-    def _journal_append(self, event: str, payload: Dict[str, Any]) -> None:
-        path = self.journal_path
-        if path is None:
-            return
-        os.makedirs(self.store_dir, exist_ok=True)
-        row = {"event": event}
-        row.update(payload)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def pending_from_journal(self) -> List[JobSpec]:
-        """Specs of every journaled job without a terminal event."""
-        path = self.journal_path
-        if path is None or not os.path.exists(path):
-            return []
-        alive: Dict[str, JobSpec] = {}
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    # A kill mid-append leaves one torn final line; skip it.
-                    continue
-                event = row.get("event")
-                if event == "submitted":
-                    try:
-                        spec = JobSpec.from_dict(row["job"])
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    alive[spec.job_id] = spec
-                elif event in TERMINAL_EVENTS:
-                    alive.pop(row.get("job_id"), None)
-        return list(alive.values())
-
-    # --- submission ---------------------------------------------------------------
-    def build_spec(
-        self,
-        method: str,
-        circuit: str,
-        technology: str,
-        steps: int,
-        seed: int,
-        checkpoint_every: Optional[int] = None,
-        settings: Optional[ExperimentSettings] = None,
-    ) -> JobSpec:
-        """Resolve a run request into a fully-specified, journalable spec."""
-        if method not in list_optimizers():
-            raise ValueError(unknown_method_message(method))
-        settings = settings or ExperimentSettings()
-        warmup = settings.rl_warmup(steps) if method in RL_METHODS else None
-        return JobSpec(
-            job_id=uuid.uuid4().hex[:12],
-            method=method,
-            circuit=circuit,
-            technology=technology,
-            steps=int(steps),
-            seed=int(seed),
-            checkpoint_every=(
-                self.default_checkpoint_every
-                if checkpoint_every is None
-                else int(checkpoint_every)
-            ),
-            eval_backend=self.evaluator_config.backend,
-            eval_cache_size=self.evaluator_config.cache_size,
-            warmup=warmup,
-        )
-
-    def submit(self, spec: JobSpec, adopted: bool = False) -> Job:
-        """Start (or re-adopt) a job; returns its runtime handle."""
-        self._loop = asyncio.get_running_loop()
-        job = Job(spec=spec, adopted=adopted, finished=asyncio.Event())
-        self.jobs[spec.job_id] = job
-        if not adopted:
-            self._journal_append("submitted", {"job": spec.to_dict()})
-        self._tasks[spec.job_id] = asyncio.create_task(self._run_job(job))
-        return job
-
-    def adopt_pending(self) -> List[Job]:
-        """Re-submit every journaled job that never reached a terminal state.
-
-        Each adopted run resumes from its store checkpoint (when one was
-        written) — the driver replays nothing and continues bit-identically.
-        """
-        adopted = []
-        for spec in self.pending_from_journal():
-            logger.info(
-                "re-adopting run %s (%s %s/%s steps=%d seed=%d)",
-                spec.job_id,
-                spec.method,
-                spec.circuit,
-                spec.technology,
-                spec.steps,
-                spec.seed,
-            )
-            adopted.append(self.submit(spec, adopted=True))
-        return adopted
-
-    # --- execution ----------------------------------------------------------------
-    def _settings_for(self, spec: JobSpec) -> ExperimentSettings:
-        """Reconstruct settings that reproduce the spec's recorded warm-up.
-
-        ``run_key_for`` derives the RL warm-up from
-        ``settings.rl_warmup(steps) = max(5, min(int(steps * fraction),
-        steps - 1))``.  A journaled warm-up came from that same formula, so
-        it lies in ``[5, steps - 1]`` and ``fraction = (warmup + 0.5) /
-        steps`` floors back to exactly ``warmup`` — the adopted run's key
-        (and checkpoint) match the original regardless of the restarted
-        server's own ``REPRO_WARMUP_FRACTION``.
-        """
-        settings = ExperimentSettings()
-        if spec.warmup is not None and spec.steps > 0:
-            settings.warmup_fraction = (spec.warmup + 0.5) / spec.steps
-            if settings.rl_warmup(spec.steps) != spec.warmup:
-                logger.warning(
-                    "job %s: could not reconstruct warmup %d for steps %d",
-                    spec.job_id,
-                    spec.warmup,
-                    spec.steps,
-                )
-        return settings
+        self._lock = threading.Lock()
+        self._workers: Dict[str, CampaignWorker] = {}  # guarded-by: self._lock
+        self._stopping = False  # guarded-by: self._lock
 
     def _open_store(self) -> RunStore:
         if self._memory_store is not None:
             return self._memory_store
         return open_run_store("sqlite", self.store_dir)
 
-    def _execute(self, job: Job):
-        """Worker-thread body: the full run, with its own store handle.
+    # --- submission ---------------------------------------------------------------
+    def submit(
+        self,
+        method: str,
+        circuit: str,
+        technology: str = "180nm",
+        steps: int = 80,
+        seed: int = 0,
+        checkpoint_every: Optional[int] = None,
+    ) -> Job:
+        """Queue a run and start its job; returns the job's runtime handle.
 
-        SQLite handles are bound to their creating thread, so each job opens
-        a fresh connection here; WAL journal mode makes the concurrent
-        writers (and any external CLI readers) safe.
+        An identical run that is running or done returns its existing job.
+        Resubmitting a failed run lifts its quarantine and runs it again.
+        Unknown methods, circuits and technologies are refused before
+        anything is queued.
         """
-        spec = job.spec
+        if method not in list_optimizers():
+            # Bad client-supplied method, rejected before any evaluation runs.
+            raise ValueError(  # repro-lint: ignore[failure-taxonomy]
+                unknown_method_message(method)
+            )
+        get_circuit(circuit, technology)  # KeyError names the unknown one
+        settings = ExperimentSettings()
+        request = RunRequest(method, circuit, technology, steps, seed)
+        key = request.key(settings, self.evaluator_config)
+        job = self.jobs.get(job_id_for(key))
+        if job is not None and job.status != "failed":
+            return job
+        if checkpoint_every is None:
+            checkpoint_every = self.default_checkpoint_every
+        payload = {
+            "checkpoint_every": int(checkpoint_every),
+            "evaluator": asdict(self.evaluator_config),
+            "warmup_fraction": settings.warmup_fraction,
+        }
+        self._store.delete_quarantine(key)
+        self._store.put_queued(key, payload)
+        return self._start(key, payload)
+
+    def adopt_pending(self) -> List[Job]:
+        """Start a job for every queued cell with no record and no quarantine.
+
+        Each adopted run resumes from its store checkpoint (when one was
+        written) — the driver replays nothing and continues bit-identically.
+        """
+        adopted = []
+        for key, payload in self._store.queued():
+            if key in self._store or self._store.get_quarantine(key) is not None:
+                continue
+            logger.info("re-adopting run %s: %s", job_id_for(key), key.canonical())
+            adopted.append(self._start(key, payload, adopted=True))
+        return adopted
+
+    def _start(self, key: RunKey, payload: Dict[str, Any], adopted: bool = False) -> Job:
+        self._loop = asyncio.get_running_loop()
+        job = Job(key=key, adopted=adopted, finished=asyncio.Event())
+        self.jobs[job.job_id] = job
+        self._tasks[job.job_id] = asyncio.create_task(self._run_job(job, payload))
+        return job
+
+    async def stop(self) -> None:
+        """Pause every running job and wait until each has let go of its cell.
+
+        Each worker checkpoints at its next ask/tell boundary and releases
+        its lease; the cell stays queued, so the next server adopts it.
+        """
+        with self._lock:
+            self._stopping = True
+            workers = list(self._workers.values())
+        for worker in workers:
+            worker.request_stop()
+        await asyncio.gather(*self._tasks.values(), return_exceptions=True)
+        self._store.close()
+
+    # --- execution ----------------------------------------------------------------
+    def _execute(self, job: Job, payload: Dict[str, Any]) -> None:
+        """Job-thread body: leaves the cell's record or quarantine marker in
+        the store, or neither when a stop request paused it.
+
+        The thread opens its own store handle: SQLite connections are bound
+        to the thread that created them.
+        """
         loop = self._loop
 
         def progress(step: DriverStep) -> None:
             # Marshal driver telemetry onto the event loop; the explicit
             # None return matters — a truthy return would early-stop the run.
-            payload = {
+            frame = {
                 "type": "progress",
-                "job_id": spec.job_id,
+                "job_id": job.job_id,
                 "step": step.step,
                 "evaluated": step.evaluated,
                 "budget": step.budget,
                 "best_reward": step.best_reward,
                 "wall_time_s": round(step.wall_time_s, 6),
             }
-            loop.call_soon_threadsafe(self._publish, job, payload)
+            loop.call_soon_threadsafe(self._publish, job, frame)
 
-        config = EvaluatorConfig(
-            backend=spec.eval_backend, cache_size=spec.eval_cache_size
-        )
-        store = self._open_store()
-        try:
-            return run_method(
-                spec.method,
-                spec.circuit,
-                technology=spec.technology,
-                steps=spec.steps,
-                seed=spec.seed,
-                settings=self._settings_for(spec),
-                evaluator_config=config,
-                store=store,
-                checkpoint_every=spec.checkpoint_every,
-                callbacks=[progress],
-            )
-        finally:
-            if store is not self._memory_store:
-                store.close()
+        with self._open_store() as store:
+            try:
+                campaign = _campaign_for(job.key, payload, store)
+                checkpoint_every = int(payload["checkpoint_every"])
+            except (KeyError, TypeError, ValueError) as error:
+                info = {"kind": classify_exception(error), "message": str(error), "attempts": 0}
+                store.put_quarantine(job.key, info)
+                return
+            with lease_store_for(store) as leases:
+                worker = CampaignWorker(
+                    campaign,
+                    lease_store=leases,
+                    checkpoint_every=checkpoint_every,
+                    step_callbacks=[progress],
+                )
+                with self._lock:
+                    if self._stopping:
+                        return
+                    self._workers[job.job_id] = worker
+                try:
+                    worker.run()
+                finally:
+                    with self._lock:
+                        del self._workers[job.job_id]
 
-    async def _run_job(self, job: Job) -> None:
-        spec = job.spec
+    async def _run_job(self, job: Job, payload: Dict[str, Any]) -> None:
         try:
-            record = await asyncio.to_thread(self._execute, job)
+            await asyncio.to_thread(self._execute, job, payload)
+            record = self._store.get(job.key)
+            quarantine = self._store.get_quarantine(job.key)
         except Exception as error:
-            logger.exception("run %s failed", spec.job_id)
-            job.status = "failed"
-            job.error = f"{type(error).__name__}: {error}"
-            self._journal_append("failed", {"job_id": spec.job_id, "error": job.error})
-            self._publish(
-                job,
-                {"type": "error", "job_id": spec.job_id, "error": job.error},
-            )
-        else:
+            logger.exception("run %s failed", job.job_id)
+            record, quarantine = None, {"message": f"{type(error).__name__}: {error}"}
+        finally:
+            self._tasks.pop(job.job_id, None)
+        if record is not None:
             job.status = "done"
             job.record = record.to_dict()
             job.best_reward = job.record["best_reward"]
-            self._journal_append("done", {"job_id": spec.job_id})
-            self._publish(
-                job,
-                {"type": "result", "job_id": spec.job_id, "record": job.record},
-            )
-        finally:
-            job.finished.set()
-            self._tasks.pop(spec.job_id, None)
+            self._publish(job, {"type": "result", "job_id": job.job_id, "record": job.record})
+        elif quarantine is not None:
+            job.status = "failed"
+            job.error = quarantine.get("message")
+            logger.warning("run %s failed: %s", job.job_id, job.error)
+            self._publish(job, {"type": "error", "job_id": job.job_id, "error": job.error})
+        else:
+            return  # paused by stop(): the next server adopts the cell
+        job.finished.set()
 
     def _publish(self, job: Job, payload: Dict[str, Any]) -> None:
         if payload.get("type") == "progress":
@@ -439,8 +358,3 @@ class RunSupervisor:
         counts["total"] = len(self.jobs)
         counts["adopted"] = sum(1 for job in self.jobs.values() if job.adopted)
         return counts
-
-    async def drain(self) -> None:
-        """Wait until every running job reaches a terminal state."""
-        for task in list(self._tasks.values()):
-            await asyncio.shield(task)

@@ -204,7 +204,7 @@ class RunStore(abc.ABC):
 
     @abc.abstractmethod
     def clear(self) -> None:
-        """Drop every stored run, checkpoint and quarantine marker."""
+        """Drop every stored run, checkpoint, quarantine marker and queued cell."""
 
     def __contains__(self, key: RunKey) -> bool:
         return self.get(key) is not None
@@ -305,6 +305,26 @@ class RunStore(abc.ABC):
     def clear_quarantine(self) -> None:
         """Lift every quarantine."""
         self._quarantine_rows().clear()
+
+    # --- run queue ----------------------------------------------------------------
+    # A queued cell is a run the optimization service accepted: its key plus
+    # the JSON payload that rebuilds its settings after a restart.  Like
+    # checkpoints, the base keeps rows in process memory; SqliteStore overrides.
+
+    def _queue_rows(self) -> Dict[str, Tuple[RunKey, Dict]]:
+        rows = getattr(self, "_queue", None)
+        if rows is None:
+            rows = {}
+            self._queue = rows
+        return rows
+
+    def put_queued(self, key: RunKey, payload: Mapping) -> None:
+        """Queue ``key`` with a JSON-serializable ``payload`` (latest wins)."""
+        self._queue_rows()[key.key_id()] = (key, dict(payload))
+
+    def queued(self) -> List[Tuple[RunKey, Dict]]:
+        """Every queued ``(key, payload)``, in first-submission order."""
+        return list(self._queue_rows().values())
 
     def close(self) -> None:
         """Release any resources (file handles, connections); idempotent."""

@@ -199,19 +199,25 @@ class CampaignReport:
 
 
 class Campaign:
-    """Executes the missing cells of a grid spec against a run store."""
+    """Executes the missing cells of a grid spec against a run store.
+
+    An explicit ``cells`` list replaces the spec's grid (the service runs
+    each job as a one-cell campaign); such a campaign runs in-process only.
+    """
 
     def __init__(
         self,
-        spec: CampaignSpec,
+        spec: Optional[CampaignSpec],
         store: RunStore,
         settings: Optional["ExperimentSettings"] = None,
         evaluator_config: Optional["EvaluatorConfig"] = None,
+        cells: Optional[Sequence[RunRequest]] = None,
     ):
         self.spec = spec
         self.store = store
         self.settings = settings
         self.evaluator_config = evaluator_config
+        self.cells = cells
         # key_for memo: computing a RunKey reconstructs ExperimentSettings
         # (and, for RL methods, the warm-up schedule) per call — harmless
         # once, hot when cluster workers poll pending()/status() between
@@ -238,8 +244,8 @@ class Campaign:
         return key
 
     def requests(self) -> List[RunRequest]:
-        """Every cell of the grid, in sweep order."""
-        return self.spec.expand()
+        """Every cell of the grid (or the explicit cell list), in sweep order."""
+        return list(self.cells) if self.cells is not None else self.spec.expand()
 
     def pending(self) -> List[RunRequest]:
         """Cells not yet present in the store and not quarantined.

@@ -39,3 +39,4 @@ class MemoryStore(RunStore):
         self._rows.clear()
         self.clear_checkpoints()
         self.clear_quarantine()
+        self._queue_rows().clear()

@@ -3,9 +3,9 @@
 Each store directory holds one ``runs.sqlite`` database: the runs, with a
 composite index over (method, circuit, technology, seed) so membership
 tests and filtered queries stay O(log n) regardless of campaign size, plus
-the mid-run checkpoints, the quarantine markers and the cluster's
-``leases`` table.  Writes are committed per ``put`` — a killed process
-loses at most the run in flight.
+the mid-run checkpoints, the quarantine markers, the service's run
+``queue`` and the cluster's ``leases`` table.  Writes are committed per
+``put`` — a killed process loses at most the run in flight.
 
 The store is built for *concurrent* access: the optimization service's run
 workers, cluster workers, the CLI's ``ls``/``export`` and external readers
@@ -58,6 +58,11 @@ CREATE TABLE IF NOT EXISTS checkpoints (
 CREATE TABLE IF NOT EXISTS quarantine (
     key_id     TEXT PRIMARY KEY,
     info_json  TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS queue (
+    key_id        TEXT PRIMARY KEY,
+    key_json      TEXT NOT NULL,
+    payload_json  TEXT NOT NULL
 );
 """
 
@@ -209,6 +214,7 @@ class SqliteStore(RunStore):
         self._conn.execute("DELETE FROM runs")
         self._conn.execute("DELETE FROM checkpoints")
         self._conn.execute("DELETE FROM quarantine")
+        self._conn.execute("DELETE FROM queue")
         self._conn.commit()
 
     # --- mid-run checkpoints: a blob row per in-flight run ----------------------
@@ -274,6 +280,29 @@ class SqliteStore(RunStore):
     def clear_quarantine(self) -> None:
         self._conn.execute("DELETE FROM quarantine")
         self._conn.commit()
+
+    # --- run queue: a key and a JSON payload per accepted service run ------------
+    def put_queued(self, key: RunKey, payload) -> None:
+        # The upsert keeps the row's rowid: queued() lists first submissions first.
+        self._conn.execute(
+            "INSERT INTO queue (key_id, key_json, payload_json) VALUES (?, ?, ?) "
+            "ON CONFLICT(key_id) DO UPDATE SET payload_json = excluded.payload_json",
+            (
+                key.key_id(),
+                key.canonical(),
+                json.dumps(dict(payload), sort_keys=True, separators=(",", ":")),
+            ),
+        )
+        self._conn.commit()
+
+    def queued(self):
+        cursor = self._conn.execute(
+            "SELECT key_json, payload_json FROM queue ORDER BY rowid"
+        )
+        return [
+            (RunKey.from_dict(json.loads(key_json)), json.loads(payload_json))
+            for key_json, payload_json in cursor.fetchall()
+        ]
 
     def vacuum_leases(self) -> int:
         """Drop leases whose owning pid is provably dead on this host.

@@ -21,6 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.figures import FigureData
+from repro.service import ServiceConfig
 
 
 def tiny_settings(**overrides):
@@ -45,6 +46,34 @@ class TestSettings:
     def test_invalid_env_value_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_STEPS", "not_a_number")
         assert ExperimentSettings().steps == 80
+
+    @pytest.mark.parametrize(
+        "factory, attribute, variable, minimum",
+        [
+            (ExperimentSettings, "steps", "REPRO_STEPS", 1),
+            (ExperimentSettings, "seeds", "REPRO_SEEDS", 1),
+            (ExperimentSettings, "pretrain_steps", "REPRO_PRETRAIN_STEPS", 1),
+            (ExperimentSettings, "transfer_steps", "REPRO_TRANSFER_STEPS", 1),
+            (ExperimentSettings, "transfer_warmup", "REPRO_TRANSFER_WARMUP", 1),
+            (ExperimentSettings, "eval_cache_size", "REPRO_EVAL_CACHE", 0),
+            (ServiceConfig, "port", "REPRO_SERVE_PORT", 0),
+            (ServiceConfig, "cache_size", "REPRO_SERVE_CACHE", 0),
+            (ServiceConfig, "checkpoint_every", "REPRO_SERVE_CHECKPOINT_EVERY", 0),
+            (ServiceConfig, "max_batch", "REPRO_SERVE_MAX_BATCH", 1),
+            (ServiceConfig, "max_pending", "REPRO_SERVE_MAX_PENDING", 0),
+            (ServiceConfig, "eval_attempts", "REPRO_SERVE_EVAL_ATTEMPTS", 1),
+            (ServiceConfig, "chaos_seed", "REPRO_SERVE_CHAOS_SEED", 0),
+            (ServiceConfig, "chaos_transient", "REPRO_SERVE_CHAOS_TRANSIENT", 0),
+        ],
+    )
+    def test_integer_env_values_clamp_and_fall_back(
+        self, factory, attribute, variable, minimum, monkeypatch
+    ):
+        monkeypatch.delenv(variable, raising=False)
+        default = getattr(factory(), attribute)
+        for value, expected in (("7", 7), ("-5", minimum), ("junk", default)):
+            monkeypatch.setenv(variable, value)
+            assert getattr(factory(), attribute) == expected, value
 
     @pytest.mark.parametrize("value", ["vectorised", "process"])
     def test_unknown_eval_backend_env_fails_loudly(self, value, monkeypatch, capsys):

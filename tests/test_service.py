@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -17,6 +19,8 @@ import pytest
 
 from repro.circuits import get_circuit
 from repro.eval import EvaluatorConfig
+from repro.experiments.config import ExperimentSettings
+from repro.experiments.runner import run_key_for
 from repro.service import (
     ProtocolError,
     ServerThread,
@@ -27,7 +31,8 @@ from repro.service import (
     encode_frame,
     validate_request,
 )
-from repro.service.supervisor import JOURNAL_NAME, JobSpec, RunSupervisor
+from repro.service.supervisor import RunSupervisor
+from repro.store import SqliteStore, make_run_key
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -237,129 +242,256 @@ class TestRuns:
                 with pytest.raises(ServiceError, match="[Uu]nknown"):
                     client.run("definitely_not_a_method", "two_tia", steps=2)
 
-
-# --- journal / adoption -----------------------------------------------------------
-class TestJournal:
-    def test_pending_from_journal_tolerates_torn_tail(self, tmp_path):
-        supervisor = RunSupervisor(store_dir=str(tmp_path))
-        done = JobSpec(
-            job_id="aaa", method="es", circuit="two_tia", technology="180nm",
-            steps=4, seed=0, checkpoint_every=1,
-        )
-        alive = JobSpec(
-            job_id="bbb", method="random", circuit="two_tia", technology="180nm",
-            steps=4, seed=1, checkpoint_every=1, eval_cache_size=64,
-        )
-        supervisor._journal_append("submitted", {"job": done.to_dict()})
-        supervisor._journal_append("submitted", {"job": alive.to_dict()})
-        supervisor._journal_append("done", {"job_id": "aaa"})
-        with open(tmp_path / JOURNAL_NAME, "a", encoding="utf-8") as handle:
-            handle.write('{"event": "submitted", "job": {"job_id": "to')  # torn
-        pending = supervisor.pending_from_journal()
-        assert [spec.job_id for spec in pending] == ["bbb"]
-        assert pending[0] == alive
-
-    def test_job_journaled_on_a_retired_backend_fails_on_adoption(self, tmp_path):
-        supervisor = RunSupervisor(store_dir=str(tmp_path))
-        common = {
-            "method": "random", "circuit": "two_tia", "technology": "180nm",
-            "steps": 2, "seed": 0, "checkpoint_every": 1, "eval_cache_size": 0,
-        }
-        # A job journaled on a retired worker-pool backend, then a local one.
-        for job_id, backend in (("ccc", "process"), ("ddd", "local")):
-            supervisor._journal_append("submitted", {"job": dict(
-                common, job_id=job_id, eval_backend=backend
-            )})
-
-        async def adopt_and_drain():
-            jobs = supervisor.adopt_pending()
-            await supervisor.drain()
-            return jobs
-
-        retired, local = asyncio.run(adopt_and_drain())
-        assert retired.adopted and retired.status == "failed"
-        assert retired.error.startswith("ValueError: unknown backend 'process'")
-        assert local.spec == JobSpec(job_id="ddd", **common)
-        assert local.status == "done"
-
-    def test_kill_server_midrun_restart_resumes_bit_identically(self, tmp_path):
-        """SIGKILL the server mid-run; a restart re-adopts the journaled job
-        and its resumed record matches an uninterrupted reference exactly."""
-        from repro.experiments.runner import run_method
-
-        store_dir = str(tmp_path / "store")
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-
-        def start_server():
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.experiments", "serve",
-                    "--port", "0", "--store-dir", store_dir,
-                    "--checkpoint-every", "1",
-                ],
-                env=env,
-                stdout=subprocess.PIPE,
-                text=True,
+    def test_unknown_circuit_or_technology_is_refused_at_submission(self):
+        with ServerThread(ServiceConfig(port=0)) as server:
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceError, match="unknown circuit 'no_such_circuit'"):
+                    client.submit_run("es", "no_such_circuit")
+                with pytest.raises(ServiceError, match="unknown technology node '7nm'"):
+                    client.submit_run("es", "two_tia", technology="7nm")
+                assert client.jobs() == []
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/run",
+                data=json.dumps({"method": "es", "circuit": "no_such_circuit"}).encode(),
             )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
+
+
+# --- run queue / adoption ---------------------------------------------------------
+_PAYLOAD = {
+    "checkpoint_every": 1,
+    "evaluator": {"backend": "local", "cache_size": 0},
+    "warmup_fraction": 0.33,
+}
+
+
+def _adopt_queued(store_dir: str):
+    """Adopt every queued cell of ``store_dir`` and wait until each job ends."""
+
+    async def adopt():
+        supervisor = RunSupervisor(store_dir=store_dir)
+        jobs = supervisor.adopt_pending()
+        await asyncio.gather(*(job.finished.wait() for job in jobs))
+        await supervisor.stop()
+        return jobs
+
+    return asyncio.run(adopt())
+
+
+@contextlib.contextmanager
+def _serving(store_dir: str):
+    """``serve`` in a subprocess on an ephemeral port; yields (process, port).
+
+    A server still running when the block ends is SIGKILLed.
+    """
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.experiments", "serve",
+            "--port", "0", "--store-dir", store_dir,
+            "--checkpoint-every", "1",
+        ],
+        env=dict(os.environ, PYTHONPATH=REPO_SRC),
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        try:
             banner = proc.stdout.readline()
             assert "listening on" in banner, banner
-            port = int(banner.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
-            return proc, port
+            yield proc, int(banner.split("listening on ")[1].split()[0].rsplit(":", 1)[1])
+        finally:
+            if proc.poll() is None:
+                proc.kill()
 
-        proc, port = start_server()
+
+def _wait_midrun(client: ServiceClient, budget: int) -> None:
+    """Poll until the only job has stepped but spent under half its budget."""
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        job = client.jobs()[0]
+        if job["status"] != "running":
+            pytest.fail(f"run finished before the interruption: {job}")
+        if job["step"] >= 1 and job["evaluated"] < budget // 2:
+            return
+        time.sleep(0.02)
+    pytest.fail("run never reported progress")
+
+
+def _table_rows(store_dir, table: str) -> list:
+    """Rows of one ``runs.sqlite`` table, read without opening a store
+    (an open vacuums the leases of dead local processes)."""
+    path = os.path.join(str(store_dir), "runs.sqlite")
+    with contextlib.closing(sqlite3.connect(f"file:{path}?mode=ro", uri=True)) as conn:
+        return conn.execute(f"SELECT * FROM {table}").fetchall()
+
+
+def _assert_matches_uninterrupted(record, method: str, steps: int) -> None:
+    from repro.experiments.runner import run_method
+
+    reference = run_method(
+        method,
+        "two_tia",
+        steps=steps,
+        seed=0,
+        evaluator_config=EvaluatorConfig(backend="local", cache_size=4096),
+    )
+    assert len(record["rewards"]) == len(reference.rewards)
+    assert record["rewards"] == [float(r) for r in reference.rewards]
+    assert record["best_reward"] == float(reference.best_reward)
+    assert record["best_metrics"] == {
+        k: float(v) for k, v in reference.best_metrics.items()
+    }
+
+
+class TestRunQueue:
+    def test_queued_cell_on_a_retired_backend_is_quarantined_at_adoption(self, tmp_path):
+        retired_key = make_run_key(
+            "random", "two_tia", "180nm", 2, 0,
+            evaluator_key=("evaluator", "process", None, 0),
+        )
+        valid_key = run_key_for(
+            "random", "two_tia", steps=2, seed=0,
+            evaluator_config=EvaluatorConfig(backend="local", cache_size=0),
+        )
+        with SqliteStore(tmp_path) as store:
+            store.put_queued(
+                retired_key,
+                dict(_PAYLOAD, evaluator={"backend": "process", "cache_size": 0}),
+            )
+            store.put_queued(valid_key, _PAYLOAD)
+
+        retired, valid = _adopt_queued(str(tmp_path))
+        assert retired.adopted and retired.status == "failed"
+        assert retired.error.startswith("unknown backend 'process'")
+        assert valid.adopted and valid.status == "done"
+        with SqliteStore(tmp_path) as store:
+            assert store.get_quarantine(retired_key)["message"] == retired.error
+            assert store.get(retired_key) is None
+            assert store.get(valid_key) is not None
+        # The next start runs neither again.
+        assert _adopt_queued(str(tmp_path)) == []
+
+    def test_queue_row_whose_key_no_longer_rebuilds_fails_instead_of_running(
+        self, tmp_path
+    ):
+        # Queued under a 0.5 warm-up fraction, with a payload that says 0.33.
+        key = run_key_for(
+            "gcn_rl", "two_tia", steps=40, seed=0,
+            settings=ExperimentSettings(warmup_fraction=0.5),
+            evaluator_config=EvaluatorConfig(backend="local", cache_size=0),
+        )
+        with SqliteStore(tmp_path) as store:
+            store.put_queued(key, _PAYLOAD)
+
+        (job,) = _adopt_queued(str(tmp_path))
+        assert job.status == "failed"
+        assert key.canonical() in job.error
+        assert '["warmup",13]' in job.error
+        with SqliteStore(tmp_path) as store:
+            assert store.get_quarantine(key) is not None
+            assert store.get(key) is None
+            assert store.get_checkpoint(key) is None
+        assert _adopt_queued(str(tmp_path)) == []
+
+    def test_identical_submissions_share_one_job_and_one_execution(self, tmp_path):
+        with ServerThread(ServiceConfig(port=0, store_dir=str(tmp_path))) as server:
+            with ServiceClient(port=server.port) as client:
+                first = client.submit_run("random", "two_tia", steps=4, seed=3)
+                second = client.submit_run("random", "two_tia", steps=4, seed=3)
+                payload = client.result(first, wait=True)
+                third = client.submit_run("random", "two_tia", steps=4, seed=3)
+                jobs = client.jobs()
+        assert first == second == third
+        assert [job["job_id"] for job in jobs] == [first]
+        assert payload["status"] == "done"
+        assert len(_table_rows(tmp_path, "runs")) == 1
+        assert len(_table_rows(tmp_path, "queue")) == 1
+
+    def test_back_to_back_jobs_run_concurrently_and_stop_pauses_them(self, tmp_path):
+        server = ServerThread(ServiceConfig(port=0, store_dir=str(tmp_path))).start()
         try:
+            with ServiceClient(port=server.port) as client:
+                for seed in (0, 1):
+                    client.submit_run("es", "two_tia", steps=3000, seed=seed)
+                deadline = time.monotonic() + 120
+                while time.monotonic() < deadline:
+                    jobs = client.jobs()
+                    assert all(job["status"] == "running" for job in jobs), jobs
+                    if all(job["step"] >= 1 for job in jobs):
+                        break
+                    time.sleep(0.02)
+                else:
+                    pytest.fail(f"the jobs never both stepped: {jobs}")
+        finally:
+            server.stop()
+        # Both cells paused unfinished: checkpointed, no record, no lease,
+        # and no job thread is still stepping.
+        checkpoints = _table_rows(tmp_path, "checkpoints")
+        assert len(checkpoints) == 2
+        assert _table_rows(tmp_path, "runs") == []
+        assert _table_rows(tmp_path, "leases") == []
+        time.sleep(0.5)
+        assert _table_rows(tmp_path, "checkpoints") == checkpoints
+
+    def test_kill_server_midrun_restart_resumes_bit_identically(self, tmp_path):
+        """SIGKILL the server mid-run; a restart adopts the queued cell and
+        its resumed record matches an uninterrupted reference exactly."""
+        store_dir = str(tmp_path / "store")
+        with _serving(store_dir) as (proc, port):
             with ServiceClient(port=port) as client:
                 job_id = client.submit_run(
                     "es", "two_tia", steps=60, seed=0, checkpoint_every=1
                 )
                 # Wait until the run has demonstrably stepped (checkpoint
-                # written) but is still in flight, then pull the plug.
-                deadline = time.monotonic() + 120
-                while time.monotonic() < deadline:
-                    job = client.jobs()[0]
-                    if job["status"] != "running":
-                        pytest.fail(f"run finished before the kill: {job}")
-                    if job["step"] >= 1 and job["evaluated"] < 50:
-                        break
-                    time.sleep(0.02)
-                else:
-                    pytest.fail("run never reported progress")
-        finally:
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
+                # written) but is still in flight; leaving the block pulls
+                # the plug.
+                _wait_midrun(client, 100)
 
-        journal = tmp_path / "store" / JOURNAL_NAME
-        assert journal.exists()
-        events = [json.loads(line) for line in journal.read_text().splitlines()]
-        assert events[0]["event"] == "submitted"
-        assert not any(row["event"] == "done" for row in events)
+        # The queue row and the dead server's lease survive the kill.
+        (queued,) = _table_rows(store_dir, "queue")
+        (lease,) = _table_rows(store_dir, "leases")
+        assert queued[0] == lease[0] and queued[0].startswith(job_id)
+        assert lease[4] == proc.pid
+        assert _table_rows(store_dir, "runs") == []
 
-        proc2, port2 = start_server()
-        try:
-            with ServiceClient(port=port2, timeout=300.0) as client:
+        with _serving(store_dir) as (_, port):
+            with ServiceClient(port=port, timeout=300.0) as client:
                 jobs = client.jobs()
                 assert [j["job_id"] for j in jobs] == [job_id]
                 assert jobs[0]["adopted"] is True
                 payload = client.result(job_id, wait=True)
-        finally:
-            os.kill(proc2.pid, signal.SIGKILL)
-            proc2.wait(timeout=30)
+
+        assert _table_rows(store_dir, "leases") == []
+        assert len(_table_rows(store_dir, "runs")) == 1
+        assert payload["status"] == "done"
+        _assert_matches_uninterrupted(payload["record"], "es", 60)
+
+    def test_sigint_midrun_pauses_and_restart_resumes_bit_identically(self, tmp_path):
+        """A graceful stop leaves the run unfinished — checkpointed, with no
+        record and no lease — and the next server finishes it bit-identically."""
+        store_dir = str(tmp_path / "store")
+        with _serving(store_dir) as (proc, port):
+            with ServiceClient(port=port) as client:
+                job_id = client.submit_run(
+                    "es", "two_tia", steps=400, seed=0, checkpoint_every=1
+                )
+                _wait_midrun(client, 400)
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=60)  # the server exits on its own
+
+        assert _table_rows(store_dir, "runs") == []
+        assert len(_table_rows(store_dir, "checkpoints")) == 1
+        assert _table_rows(store_dir, "leases") == []
+
+        with _serving(store_dir) as (_, port):
+            with ServiceClient(port=port, timeout=300.0) as client:
+                assert client.jobs()[0]["adopted"] is True
+                payload = client.result(job_id, wait=True)
 
         assert payload["status"] == "done"
-        resumed = payload["record"]
-        reference = run_method(
-            "es",
-            "two_tia",
-            steps=60,
-            seed=0,
-            evaluator_config=EvaluatorConfig(backend="local", cache_size=4096),
-        )
-        assert len(resumed["rewards"]) == len(reference.rewards)
-        assert resumed["rewards"] == [float(r) for r in reference.rewards]
-        assert resumed["best_reward"] == float(reference.best_reward)
-        assert resumed["best_metrics"] == {
-            k: float(v) for k, v in reference.best_metrics.items()
-        }
+        _assert_matches_uninterrupted(payload["record"], "es", 400)
 
 
 # --- HTTP adapter -----------------------------------------------------------------

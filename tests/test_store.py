@@ -257,6 +257,34 @@ class TestCheckpointConformance:
             assert store.get_checkpoint(key) == b"durable"
 
 
+class TestQueueConformance:
+    """Every backend speaks the same run-queue contract."""
+
+    def test_put_queued_round_trip_in_first_submission_order(self, store):
+        assert store.queued() == []
+        store.put_queued(sample_key(seed=1), {"checkpoint_every": 1})
+        store.put_queued(sample_key(seed=0), {"checkpoint_every": 2})
+        # Latest payload wins; the row keeps its place.
+        store.put_queued(sample_key(seed=1), {"checkpoint_every": 3})
+        assert store.queued() == [
+            (sample_key(seed=1), {"checkpoint_every": 3}),
+            (sample_key(seed=0), {"checkpoint_every": 2}),
+        ]
+
+    def test_clear_drops_the_queue(self, store):
+        store.put_queued(sample_key(), {"checkpoint_every": 1})
+        store.clear()
+        assert store.queued() == []
+
+    @pytest.mark.parametrize("backend", PERSISTENT_BACKENDS)
+    def test_queue_survives_reopen(self, backend, tmp_path):
+        payload = {"evaluator": {"backend": "local", "cache_size": 0}}
+        with open_run_store(backend, tmp_path / "store") as store:
+            store.put_queued(sample_key(), payload)
+        with open_run_store(backend, tmp_path / "store") as store:
+            assert store.queued() == [(sample_key(), payload)]
+
+
 class TestPersistence:
     @pytest.mark.parametrize("backend", PERSISTENT_BACKENDS)
     def test_reopen_sees_data(self, backend, tmp_path):
