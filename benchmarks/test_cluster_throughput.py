@@ -1,7 +1,7 @@
 """Throughput benchmark: serial campaign sweep vs a 2-worker cluster sweep.
 
-Runs the same small method grid twice against fresh stores — once with the
-in-process serial ``Campaign.run()`` loop and once through
+Runs the same small method grid twice against fresh stores — once with
+``Campaign.run()`` (one in-process ``CampaignWorker``) and once through
 ``Campaign.run(workers=2)`` (two ``repro.experiments worker`` subprocesses
 coordinating over leases) — and records both rates as the
 ``campaign_serial`` / ``campaign_workers`` backends in

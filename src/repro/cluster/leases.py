@@ -362,6 +362,11 @@ class SqliteLeaseStore(LeaseStore):
             self._closed = True
 
 
+#: Serializes the first lease-store lookup on a memory store, so workers
+#: starting at once on two threads share one queue.
+_MEMORY_LEASES_LOCK = threading.Lock()
+
+
 def lease_store_for(store, clock: Callable[[], float] = time.time) -> LeaseStore:
     """The lease backend matching a run store's own backend.
 
@@ -371,10 +376,11 @@ def lease_store_for(store, clock: Callable[[], float] = time.time) -> LeaseStore
     same database, visible to every process holding the directory.
     """
     if isinstance(store, MemoryStore):
-        cached = getattr(store, "_cluster_lease_store", None)
-        if cached is None:
-            cached = MemoryLeaseStore(clock)
-            store._cluster_lease_store = cached
+        with _MEMORY_LEASES_LOCK:
+            cached = getattr(store, "_cluster_lease_store", None)
+            if cached is None:
+                cached = MemoryLeaseStore(clock)
+                store._cluster_lease_store = cached
         return cached
     if isinstance(store, SqliteStore):
         return SqliteLeaseStore(store.directory, clock)

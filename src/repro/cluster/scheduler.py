@@ -81,7 +81,7 @@ class WorkScheduler:
         now = self._clock()
         for request in self.campaign.requests():
             key = self.campaign.key_for(request)
-            if self.campaign.store.get(key) is not None:
+            if key in self.campaign.store:
                 continue
             if self.campaign.store.get_quarantine(key) is not None:
                 # Poisoned cell: bounded retries were already spent on it;
@@ -157,7 +157,7 @@ def cell_states(
     states = []
     for request in campaign.requests():
         key = campaign.key_for(request)
-        if campaign.store.get(key) is not None:
+        if key in campaign.store:
             states.append(CellState(request=request, key=key, state="done"))
             continue
         if campaign.store.get_quarantine(key) is not None:

@@ -5,7 +5,10 @@ executor over a shared store: it repeatedly asks the
 :class:`~repro.cluster.scheduler.WorkScheduler` for a claimable cell, runs
 it through :func:`~repro.experiments.runner.run_method` with periodic
 driver checkpoints, and keeps its lease alive from a background
-:class:`LeaseHeartbeat` thread while the method runs.
+:class:`LeaseHeartbeat` thread while the method runs.  It is the only cell
+executor: ``Campaign.run`` (the ``sweep`` command) runs one in process, the
+``worker`` command and ``Campaign.run(workers=N)`` run one per process, and
+the optimization service runs one per queued job.
 
 Shutdown paths, in decreasing order of grace:
 
@@ -18,6 +21,9 @@ Shutdown paths, in decreasing order of grace:
   past its TTL and another worker took the cell).  ``pause_check`` raises
   :class:`~repro.cluster.leases.LeaseLostError`: the run aborts *without*
   writing a checkpoint or touching the lease — both belong to the thief.
+* **Exception or Ctrl-C escaping the loop** — the lease of the cell in
+  flight is released on the way out, so the next claimant (this process
+  included) starts at once instead of waiting out the TTL.
 * **SIGKILL** — nothing runs here, by definition.  The next store open
   on the worker's host vacuums its lease, or else the lease expires after
   its TTL; whoever claims the cell next resumes it with at most
@@ -216,6 +222,9 @@ class CampaignWorker:
         if cell_retries < 1:
             raise ValueError(f"cell_retries must be >= 1, got {cell_retries}")
         self.campaign = campaign
+        # A lease store handed in belongs to the caller; one opened here
+        # (a second SQLite connection) is closed when run() returns.
+        self._owns_lease_store = lease_store is None
         self.lease_store = (
             lease_store if lease_store is not None else lease_store_for(campaign.store)
         )
@@ -260,26 +269,43 @@ class CampaignWorker:
         return self._stop.is_set()
 
     def run(self, max_cells: Optional[int] = None) -> WorkerReport:
-        """Claim-and-execute until the sweep drains (or ``max_cells``)."""
+        """Claim-and-execute until the sweep drains (or ``max_cells``).
+
+        A worker runs once: on the way out it closes the evaluator and the
+        lease store it built itself.
+        """
         report = WorkerReport(worker_id=self.worker_id)
         started = time.perf_counter()
         visited = 0
-        while not self._stop.is_set():
-            if max_cells is not None and visited >= max_cells:
-                break
-            assignment = self.scheduler.next_assignment()
-            if assignment is None:
-                if self.scheduler.outstanding() == 0:
+        assignment = None
+        try:
+            while not self._stop.is_set():
+                if max_cells is not None and visited >= max_cells:
                     break
-                # Everything left is under a live lease; wait for either a
-                # release (cell done → outstanding drops) or an expiry.
-                self._stop.wait(self.poll_interval)
-                continue
-            visited += 1
-            self._execute(assignment, report)
-        if self._evaluator is not None and self._owns_evaluator:
-            self._evaluator.close()
-            self._evaluator = None
+                assignment = self.scheduler.next_assignment()
+                if assignment is None:
+                    if self.scheduler.outstanding() == 0:
+                        break
+                    # Everything left is under a live lease; wait for either
+                    # a release (cell done → outstanding drops) or an expiry.
+                    self._stop.wait(self.poll_interval)
+                    continue
+                visited += 1
+                self._execute(assignment, report)
+        except BaseException:
+            # Ctrl-C or a store error: nothing renews the lease any more, and
+            # the dead-pid vacuum cannot clear a live process's lease, so
+            # free the cell in flight now (release never drops another
+            # owner's lease).
+            if assignment is not None:
+                self.lease_store.release(assignment.key, self.worker_id)
+            raise
+        finally:
+            if self._evaluator is not None and self._owns_evaluator:
+                self._evaluator.close()
+                self._evaluator = None
+            if self._owns_lease_store:
+                self.lease_store.close()
         report.wall_time_s = time.perf_counter() - started
         return report
 
@@ -292,8 +318,8 @@ class CampaignWorker:
 
         key, request = assignment.key, assignment.request
         # Between our pending-scan and the claim another worker may have
-        # finished this very cell; re-read before paying for simulation.
-        if self.campaign.store.get(key) is not None:
+        # finished this very cell; re-check before paying for simulation.
+        if key in self.campaign.store:
             self.lease_store.release(key, self.worker_id)
             report.skipped += 1
             self._notify(assignment, "skipped")

@@ -4,10 +4,11 @@ Runs can be persisted to a durable store (``--store-dir`` or
 ``REPRO_STORE_DIR``: a SQLite database in that directory), which makes every
 target incremental across invocations and enables campaign-style workflows:
 
-* ``sweep`` — run the methods × circuits × technologies × seeds grid,
-  skipping cells already in the store (kill-and-resume safe).  With
-  ``--workers N`` the grid is executed by N local worker processes over the
-  shared store directory (leases + work-stealing; see :mod:`repro.cluster`).
+* ``sweep`` — run the methods × circuits × technologies × seeds grid on one
+  in-process campaign worker, skipping cells already in the store
+  (kill-and-resume safe).  With ``--workers N`` the grid is executed by N
+  local worker processes over the shared store directory (leases +
+  work-stealing; see :mod:`repro.cluster`).
 * ``worker`` — join an in-progress distributed sweep from another process
   on the same host: claim, execute and steal cells until the grid drains
   (SIGTERM checkpoints mid-method and releases cleanly).
@@ -93,12 +94,7 @@ def _build_settings(args: argparse.Namespace) -> ExperimentSettings:
         settings.eval_cache_size = args.cache_size
     if args.store_dir:
         settings.store_dir = args.store_dir
-    # Fail fast on inconsistent combinations before any run starts.
-    if args.max_steps is not None and args.max_runs is None:
-        raise ValueError(
-            "--max-steps only takes effect together with --max-runs "
-            "(it bounds the partial run after the allowed executions)"
-        )
+    # Fail fast on a bad evaluator stack or store directory before any run starts.
     settings.evaluator_config()
     if settings.store_dir:
         reject_jsonl_directory(settings.store_dir)
@@ -163,7 +159,6 @@ def _sweep(settings: ExperimentSettings, store: Optional[RunStore], args) -> Non
         max_runs=args.max_runs,
         progress=progress,
         checkpoint_every=10 if args.checkpoint_every is None else args.checkpoint_every,
-        max_steps=args.max_steps,
     )
     print(report.summary())
 
@@ -469,15 +464,6 @@ def main(argv: List[str] = None) -> int:
             "ask/tell steps, so a killed sweep/server resumes mid-method "
             "(0 disables; default: 10 for sweep, REPRO_SERVE_CHECKPOINT_EVERY "
             "or 1 for serve)"
-        ),
-    )
-    parser.add_argument(
-        "--max-steps",
-        type=int,
-        default=None,
-        help=(
-            "with --max-runs: pause the next pending run after this many "
-            "ask/tell steps (checkpointed mid-method kill, for testing resume)"
         ),
     )
     parser.add_argument(

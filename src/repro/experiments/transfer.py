@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.eval import EvaluatorConfig
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.records import RunRecord
 from repro.experiments.runner import build_environment, default_agent_config
@@ -14,7 +13,7 @@ from repro.rl.transfer import train_agent
 from repro.store import RunKey, RunStore, make_run_key
 
 _PRETRAINED_CACHE: Dict[Tuple, Dict] = {}
-_TRANSFER_CACHE: Dict[Tuple, RunRecord] = {}
+_TRANSFER_CACHE: Dict[RunKey, RunRecord] = {}
 
 #: Pretrained weights, or a lazy thunk producing them on first use.
 PretrainedWeights = Union[Dict, Callable[[], Dict]]
@@ -43,6 +42,7 @@ def pretrain_weights(
     seed: int = 0,
 ) -> Dict:
     """Train a source agent and return its weights (cached per configuration)."""
+    evaluator_config = settings.evaluator_config()
     key = (
         circuit_name,
         technology,
@@ -50,11 +50,15 @@ def pretrain_weights(
         use_gcn,
         transferable_state,
         seed,
+        evaluator_config.cache_key(),
     )
     if key in _PRETRAINED_CACHE:
         return _PRETRAINED_CACHE[key]
     environment = build_environment(
-        circuit_name, technology, transferable_state=transferable_state
+        circuit_name,
+        technology,
+        transferable_state=transferable_state,
+        evaluator_config=evaluator_config,
     )
     try:
         config = default_agent_config(settings.pretrain_steps, settings, use_gcn)
@@ -81,10 +85,11 @@ def transfer_run_key(
     """Canonical store key of one fine-tuning run.
 
     Besides the run coordinates, the key covers the warm-up split, the agent
-    flavour, the state encoding, and — when weights are transferred — the
-    source task (circuit or node) and the budget those weights were trained
-    with.  Leaving the source out would let fine-tunes from different
-    pretraining sources alias to the same stored record.
+    flavour, the state encoding, the settings' evaluator stack, and — when
+    weights are transferred — the source task (circuit or node) and the
+    budget those weights were trained with.  Leaving the source out would
+    let fine-tunes from different pretraining sources alias to the same
+    stored record.
     """
     extra = {
         "transfer_warmup": settings.transfer_warmup,
@@ -99,7 +104,7 @@ def transfer_run_key(
         technology,
         settings.transfer_steps,
         seed,
-        evaluator_key=EvaluatorConfig().cache_key(),
+        evaluator_key=settings.evaluator_config().cache_key(),
         extra=extra,
     )
 
@@ -122,19 +127,6 @@ def _finetune(
     produces one; the callable is only invoked on a cache/store miss, so a
     fully-stored experiment never pays for pretraining.
     """
-    cache_key = (
-        circuit_name,
-        technology,
-        settings.transfer_steps,
-        settings.transfer_warmup,
-        seed,
-        use_gcn,
-        transferable_state,
-        label,
-        source if pretrained is not None else "",
-    )
-    if cache_key in _TRANSFER_CACHE:
-        return _TRANSFER_CACHE[cache_key]
     store_key = transfer_run_key(
         circuit_name,
         technology,
@@ -146,14 +138,19 @@ def _finetune(
         label,
         source=source,
     )
+    if store_key in _TRANSFER_CACHE:
+        return _TRANSFER_CACHE[store_key]
     if store is not None:
         stored = store.get(store_key)
         if stored is not None:
-            _TRANSFER_CACHE[cache_key] = stored
+            _TRANSFER_CACHE[store_key] = stored
             return stored
 
     environment = build_environment(
-        circuit_name, technology, transferable_state=transferable_state
+        circuit_name,
+        technology,
+        transferable_state=transferable_state,
+        evaluator_config=settings.evaluator_config(),
     )
     try:
         config = _transfer_agent_config(settings, use_gcn, settings.transfer_warmup)
@@ -175,7 +172,7 @@ def _finetune(
         )
     finally:
         environment.evaluator.close()
-    _TRANSFER_CACHE[cache_key] = record
+    _TRANSFER_CACHE[store_key] = record
     if store is not None:
         store.put(store_key, record)
     return record

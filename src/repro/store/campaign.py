@@ -9,8 +9,10 @@ ones are computed, and the final records are bit-identical to an
 uninterrupted sweep (every run is deterministic given its key).
 
 The orchestrator is intentionally thin: run identity lives in
-:class:`~repro.store.base.RunKey`, execution in
-:func:`repro.experiments.runner.run_method`, persistence in the store.
+:class:`~repro.store.base.RunKey`, persistence in the store, and execution
+in :class:`repro.cluster.CampaignWorker` — one in-process worker, or N
+worker processes — which claims each cell under a lease and runs it through
+:func:`repro.experiments.runner.run_method`.
 """
 
 from __future__ import annotations
@@ -155,26 +157,26 @@ class CampaignSpec:
 
 @dataclass
 class CampaignReport:
-    """Outcome of one :meth:`Campaign.run` sweep.
+    """Outcome of one :meth:`Campaign.run` sweep, read from the store.
 
     Attributes:
         total: Number of cells in the grid.
-        executed: Cells actually run to completion this sweep.
-        skipped: Cells served from the store without re-execution.
-        partial: Cells paused mid-run (their checkpoint is in the store;
-            the next sweep resumes them where they stopped).
+        executed: Cells whose record reached the store during this sweep
+            (from this sweep's workers, or from any other process sharing
+            the store).
+        skipped: Cells that already had a record when the sweep started.
         quarantined: Cells marked poisoned in the store (terminally failed
             after bounded retries; see ``RunStore.put_quarantine``).  They
             are excluded from ``remaining`` — a drained sweep with
             quarantined cells counts as complete, with the count surfaced.
-        interrupted: ``True`` when ``max_runs`` stopped the sweep early.
-        records: One record per *completed* visited cell, in sweep order.
+        interrupted: ``True`` when cells remain: ``max_runs`` stopped the
+            sweep early, or a worker stopped before the grid drained.
+        records: One record per cell with a record, in sweep order.
     """
 
     total: int
     executed: int = 0
     skipped: int = 0
-    partial: int = 0
     quarantined: int = 0
     interrupted: bool = False
     records: List[RunRecord] = field(default_factory=list)
@@ -191,8 +193,6 @@ class CampaignReport:
             f"sweep {state}: total={self.total} executed={self.executed} "
             f"skipped={self.skipped} remaining={self.remaining}"
         )
-        if self.partial:
-            text += f" partial={self.partial}"
         if self.quarantined:
             text += f" quarantined={self.quarantined}"
         return text
@@ -287,108 +287,88 @@ class Campaign:
         max_runs: Optional[int] = None,
         progress: Optional[Callable[[RunRequest, str], None]] = None,
         checkpoint_every: int = 0,
-        max_steps: Optional[int] = None,
         workers: Optional[int] = None,
     ) -> CampaignReport:
         """Sweep the grid, executing only cells missing from the store.
 
-        A killed sweep resumes at two granularities: cells whose final
-        record reached the store are skipped outright, and — when
-        checkpointing is on — a cell killed *mid-run* resumes from its last
-        driver checkpoint instead of re-simulating from step zero.
+        Every cell runs on a :class:`repro.cluster.CampaignWorker`, which
+        claims it under a lease, renews the lease from a heartbeat while
+        the method runs, retries a cell that raises and quarantines it once
+        the retries are spent.  So a ``sweep`` and any ``worker`` processes
+        on one store share its cells instead of computing them twice.  A
+        killed sweep resumes at two granularities: cells whose final record
+        reached the store are skipped outright, and — when checkpointing is
+        on — a cell killed *mid-run* resumes from its last driver
+        checkpoint instead of re-simulating from step zero.
 
         Args:
-            max_runs: Stop after this many completed *executions* (skips are
-                free); used to bound a session or to simulate an interruption.
-            progress: Optional ``callback(request, outcome)`` with outcome
-                ``"skipped"``, ``"executed"`` or ``"interrupted"``, called
-                per visited cell.
+            max_runs: Stop after this many claimed cells (the worker's
+                ``max_cells``; cells already done are free); bounds a
+                session.
+            progress: Optional ``callback(request, outcome)``, called per
+                cell this sweep claims with the worker's outcome:
+                ``"executed"`` or ``"quarantined"`` — or ``"skipped"`` /
+                ``"lost"`` when another process finished or took over the
+                cell first.  Cells done before the sweep are not announced.
             checkpoint_every: Forwarded to every run's driver — persist the
                 mid-run state every K ask/tell steps (0 disables).
-            max_steps: With ``max_runs``: after the allowed executions, run
-                the *next* pending cell for this many ask/tell steps and
-                pause it mid-run (checkpointed), simulating a kill inside a
-                method rather than between methods.  A single-ask method
-                (e.g. ``random``/``human``) can complete within those steps;
-                such a cell counts as executed — so with ``max_steps`` set,
-                ``executed`` may reach ``max_runs + 1`` and ``partial`` stay
-                0 — because a finished run cannot be un-executed.
-            workers: Run the sweep distributed: spawn this many local worker
-                processes over the campaign's store directory via
-                :class:`repro.cluster.ClusterLauncher` and build the report
-                from the store afterwards.  Requires a
-                :class:`~repro.store.SqliteStore`; incompatible with
-                ``max_runs``/``max_steps``/``progress`` (per-cell progress
-                prints on each worker's stdout instead).
+            workers: Run the sweep on this many local worker processes over
+                the campaign's store directory
+                (:class:`repro.cluster.ClusterLauncher`) instead of one
+                in-process worker.  Requires a
+                :class:`~repro.store.SqliteStore` and a grid spec;
+                incompatible with ``max_runs``, and ``progress`` is not
+                called (per-cell progress prints on each worker's stdout).
         """
-        # Lazy import: repro.experiments.runner imports repro.store.
-        from repro.experiments.runner import run_method
-
-        if workers is not None and workers > 1:
-            if max_runs is not None or max_steps is not None:
-                raise ValueError(
-                    "workers is incompatible with max_runs/max_steps (those "
-                    "simulate interruptions of the serial sweep)"
-                )
-            return self._run_cluster(workers, checkpoint_every or 1)
-        if max_steps is not None and max_runs is None:
-            raise ValueError(
-                "max_steps only takes effect together with max_runs (it "
-                "bounds the partial run *after* the allowed executions); "
-                "pass max_runs or drop max_steps"
-            )
-        from repro.eval import EvaluatorConfig
+        # Lazy import: repro.cluster imports this module.
+        from repro.cluster import CampaignWorker, ClusterLauncher
 
         requests = self.requests()
+        done_before = [self.key_for(request) in self.store for request in requests]
+        cluster = None
+        if workers is not None and workers > 1:
+            if max_runs is not None:
+                raise ValueError(
+                    "workers is incompatible with max_runs (it bounds the "
+                    "in-process sweep)"
+                )
+            cluster = ClusterLauncher(
+                self.spec,
+                store_dir=self._store_directory(),
+                workers=workers,
+                settings=self.settings,
+                evaluator_config=self.evaluator_config,
+                checkpoint_every=checkpoint_every or 1,
+            ).run()
+        else:
+
+            def notify(assignment, outcome: str) -> None:
+                progress(assignment.request, outcome)
+
+            CampaignWorker(
+                self,
+                checkpoint_every=checkpoint_every,
+                progress=notify if progress is not None else None,
+            ).run(max_cells=max_runs)
+
         report = CampaignReport(total=len(requests))
-        # One shared evaluator for the whole sweep: every cell's environment
-        # gets a no-op-close bound view of it, so caches and (vectorized)
-        # request batches span circuits instead of being torn down and
-        # rebuilt per cell.
-        shared_evaluator = (self.evaluator_config or EvaluatorConfig()).build()
-        try:
-            for request in requests:
-                key = self.key_for(request)
-                cached = self.store.get(key)
-                if cached is not None:
+        for request, was_done in zip(requests, done_before):
+            key = self.key_for(request)
+            record = self.store.get(key)
+            if record is not None:
+                report.records.append(record)
+                if was_done:
                     report.skipped += 1
-                    report.records.append(cached)
-                    if progress is not None:
-                        progress(request, "skipped")
-                    continue
-                interrupting = max_runs is not None and report.executed >= max_runs
-                record = None
-                if not interrupting or max_steps:
-                    record = run_method(
-                        request.method,
-                        request.circuit,
-                        technology=request.technology,
-                        steps=request.steps,
-                        seed=request.seed,
-                        settings=self.settings,
-                        weight_overrides=request.weight_overrides,
-                        apply_spec=request.apply_spec,
-                        evaluator_config=self.evaluator_config,
-                        evaluator=shared_evaluator,
-                        store=self.store,
-                        checkpoint_every=checkpoint_every
-                        or (1 if interrupting else 0),
-                        max_steps=max_steps if interrupting else None,
-                    )
-                if record is not None:
+                else:
                     report.executed += 1
-                    report.records.append(record)
-                    if progress is not None:
-                        progress(request, "executed")
-                elif interrupting and max_steps:
-                    report.partial += 1
-                    if progress is not None:
-                        progress(request, "interrupted")
-                if interrupting:
-                    report.interrupted = True
-                    break
-        finally:
-            shared_evaluator.close()
+            elif self.store.get_quarantine(key) is not None:
+                report.quarantined += 1
+        report.interrupted = report.remaining > 0
+        if report.interrupted and cluster is not None and not cluster.ok():
+            raise RuntimeError(
+                f"distributed sweep incomplete: {report.summary()}; "
+                f"worker exit codes {cluster.exit_codes}"
+            )
         return report
 
     def _store_directory(self) -> str:
@@ -402,36 +382,3 @@ class Campaign:
                 f"shared between workers; got {type(self.store).__name__}"
             )
         return self.store.directory
-
-    def _run_cluster(self, workers: int, checkpoint_every: int) -> CampaignReport:
-        """Execute the sweep with N worker processes over the shared store."""
-        from repro.cluster import ClusterLauncher
-
-        store_dir = self._store_directory()
-        skipped_before = len(self.requests()) - len(self.pending())
-        launcher = ClusterLauncher(
-            self.spec,
-            store_dir=store_dir,
-            workers=workers,
-            settings=self.settings,
-            evaluator_config=self.evaluator_config,
-            checkpoint_every=checkpoint_every,
-        )
-        cluster = launcher.run()
-        report = CampaignReport(total=len(self.requests()))
-        for request in self.requests():
-            record = self.store.get(self.key_for(request))
-            if record is not None:
-                report.records.append(record)
-        done = len(report.records)
-        report.skipped = min(skipped_before, done)
-        report.executed = done - report.skipped
-        report.quarantined = len(self.quarantined())
-        if report.remaining > 0:
-            report.interrupted = True
-            if not cluster.ok():
-                raise RuntimeError(
-                    f"distributed sweep incomplete: {report.summary()}; "
-                    f"worker exit codes {cluster.exit_codes}"
-                )
-        return report

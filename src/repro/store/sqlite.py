@@ -171,6 +171,13 @@ class SqliteStore(RunStore):
             return None
         return RunRecord.from_dict(json.loads(row[0]))
 
+    def __contains__(self, key: RunKey) -> bool:
+        # An index probe: get() would read and decode the whole record.
+        cursor = self._conn.execute(
+            "SELECT 1 FROM runs WHERE key_id = ?", (key.key_id(),)
+        )
+        return cursor.fetchone() is not None
+
     def items(self) -> Iterator[StoredRun]:
         from repro.experiments.records import RunRecord
 

@@ -703,5 +703,13 @@ class TestClusterResilience:
         campaign = Campaign(spec, store)
         key = campaign.key_for(campaign.requests()[0])
         store.put_checkpoint(key, pickle.dumps({"version": 999}))
-        with pytest.raises(ValueError, match="checkpoint version"):
-            campaign.run()
+        # Unlike a corrupt blob, a version mismatch is never discarded: the
+        # run raises on every attempt and the cell ends quarantined.
+        report = campaign.run()
+        assert report.quarantined == 1 and report.executed == 0
+        assert "quarantined=1" in report.summary()
+        info = store.get_quarantine(key)
+        assert "checkpoint version" in info["message"]
+        assert info["attempts"] == 3
+        assert store.get(key) is None
+        assert store.get_checkpoint(key) is not None

@@ -8,10 +8,15 @@ kill-and-resume, and the store CLI.
 """
 
 import json
+import sqlite3
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.cluster import DEFAULT_TTL
 from repro.experiments import (
     ExperimentSettings,
     RunRecord,
@@ -60,6 +65,12 @@ def sample_record(seed=0, best=1.5):
         rewards=[np.float64(0.1), np.float64(best)],
         extra={"note": "unit-test"},
     )
+
+
+def lease_rows(store):
+    """Every lease row of a SQLite store, read through a fresh connection."""
+    with sqlite3.connect(store.path) as conn:
+        return conn.execute("SELECT key_id, owner FROM leases").fetchall()
 
 
 @pytest.fixture(params=STORE_BACKENDS)
@@ -211,6 +222,17 @@ class TestStoreConformance:
         with store as st:
             st.put(sample_key(), sample_record())
             assert "1" in st.describe()
+
+
+def test_sqlite_membership_does_not_decode_the_record(tmp_path, monkeypatch):
+    def no_decode(data):
+        raise AssertionError("membership test decoded a record")
+
+    with open_run_store("sqlite", tmp_path / "store") as store:
+        store.put(sample_key(0), sample_record(0))
+        monkeypatch.setattr(RunRecord, "from_dict", no_decode)
+        assert sample_key(0) in store
+        assert sample_key(1) not in store
 
 
 class TestCheckpointConformance:
@@ -498,54 +520,6 @@ class TestCampaign:
             assert ours.rewards == theirs.rewards
             assert ours.method == theirs.method and ours.seed == theirs.seed
 
-    def test_mid_method_kill_resumes_bit_identical(self, tmp_path):
-        # Kill *inside* a method (not between methods): after max_runs
-        # completed cells the next cell runs max_steps ask/tell steps and
-        # pauses with a checkpoint; the next sweep resumes it mid-run.
-        spec = tiny_spec(methods=["human", "random", "es"], seeds=1, steps=20)
-
-        with open_run_store("sqlite", tmp_path / "ref") as ref_store:
-            reference = Campaign(spec, ref_store).run()
-
-        with open_run_store("sqlite", tmp_path / "resume") as store:
-            outcomes = []
-            partial = Campaign(spec, store).run(
-                max_runs=2,
-                max_steps=1,
-                checkpoint_every=1,
-                progress=lambda request, outcome: outcomes.append(
-                    (request.method, outcome)
-                ),
-            )
-            assert partial.interrupted and partial.partial == 1
-            assert partial.executed == 2
-            assert outcomes[-1] == ("es", "interrupted")
-            assert "partial=1" in partial.summary()
-            # The es cell has no final record yet, but a checkpoint exists.
-            es_key = spec.expand()[-1].key()
-            assert store.get(es_key) is None
-            assert store.get_checkpoint(es_key) is not None
-
-        with open_run_store("sqlite", tmp_path / "resume") as store:
-            resumed = Campaign(spec, store).run()
-            assert resumed.executed == 1 and resumed.skipped == 2
-            # The completed record superseded the mid-run checkpoint.
-            assert store.get_checkpoint(spec.expand()[-1].key()) is None
-
-        with open_run_store("sqlite", tmp_path / "resume") as store:
-            final = Campaign(spec, store).run()
-        assert final.executed == 0 and final.skipped == 3
-        for ours, theirs in zip(final.records, reference.records):
-            assert ours.method == theirs.method
-            assert ours.rewards == theirs.rewards
-            assert ours.best_reward == theirs.best_reward
-            assert ours.step_evaluations == theirs.step_evaluations
-
-    def test_max_steps_requires_max_runs(self, tmp_path):
-        with open_run_store("sqlite", tmp_path / "store") as store:
-            with pytest.raises(ValueError, match="max_runs"):
-                Campaign(tiny_spec(), store).run(max_steps=1)
-
     def test_fully_stored_transfer_skips_pretraining(self, tmp_path, monkeypatch):
         from repro.experiments import clear_transfer_cache, transfer
         from repro.experiments.transfer import technology_transfer_experiment
@@ -587,8 +561,88 @@ class TestCampaign:
             campaign.run(progress=lambda request, outcome: outcomes.append(outcome))
             assert outcomes == ["executed", "executed"]
             outcomes.clear()
+            # Cells done before the sweep are not announced.
             campaign.run(progress=lambda request, outcome: outcomes.append(outcome))
-            assert outcomes == ["skipped", "skipped"]
+            assert outcomes == []
+
+    def test_concurrent_sweeps_execute_each_cell_once(self, monkeypatch):
+        store = MemoryStore()
+        spec = tiny_spec(methods=["random", "es"], steps=8)
+        builds = []
+        real_build = runner_module.build_environment
+
+        def slow_counting_build(circuit_name, *args, **kwargs):
+            # Widen the window in which another sweep could pick the same
+            # cell: the lease must keep it out.
+            builds.append(circuit_name)
+            time.sleep(0.05)
+            return real_build(circuit_name, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_environment", slow_counting_build)
+        sweeps = 3  # more threads than cores, switching often
+        barrier = threading.Barrier(sweeps)
+        reports = [None] * sweeps
+
+        def sweep(index):
+            barrier.wait()
+            reports[index] = Campaign(spec, store).run()
+
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(sweeps)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(builds) == len(spec.expand()) == 4
+        assert all(report.remaining == 0 for report in reports)
+        assert len(store) == 4
+
+    def test_inprocess_sweep_releases_its_leases_and_connection(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cluster import worker as worker_module
+
+        opened = []
+        real_lease_store_for = worker_module.lease_store_for
+
+        def recording_lease_store_for(store):
+            leases = real_lease_store_for(store)
+            opened.append(leases)
+            return leases
+
+        monkeypatch.setattr(worker_module, "lease_store_for", recording_lease_store_for)
+        with open_run_store("sqlite", tmp_path / "store") as store:
+            report = Campaign(tiny_spec(), store).run()
+            assert report.executed == 3
+            assert lease_rows(store) == []
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError):
+            opened[0]._conn.execute("SELECT 1")
+
+    def test_interrupted_sweep_frees_its_cell_for_the_next_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        real_run_method = runner_module.run_method
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with open_run_store("sqlite", tmp_path / "store") as store:
+            monkeypatch.setattr(runner_module, "run_method", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                Campaign(tiny_spec(), store).run()
+            # The live process holds no lease: the cell is free at once.
+            assert lease_rows(store) == []
+            monkeypatch.setattr(runner_module, "run_method", real_run_method)
+            started = time.monotonic()
+            report = Campaign(tiny_spec(), store).run()
+            assert report.executed == 3 and report.remaining == 0
+            assert time.monotonic() - started < DEFAULT_TTL / 2
 
 
 class TestStoreCLI:

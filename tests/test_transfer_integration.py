@@ -14,7 +14,13 @@ from repro.experiments import (
     technology_transfer_experiment,
     topology_transfer_experiment,
 )
-from repro.experiments.transfer import clear_transfer_cache, pretrain_weights
+from repro.eval.vectorized import VectorizedEvaluator
+from repro.experiments import transfer
+from repro.experiments.transfer import (
+    clear_transfer_cache,
+    pretrain_weights,
+    transfer_run_key,
+)
 from repro.rl import (
     AgentConfig,
     GCNRLAgent,
@@ -125,3 +131,56 @@ class TestExperimentFlows:
         for record in result.gcn_transfer:
             assert record.circuit == "three_tia"
             assert len(record.rewards) == settings.transfer_steps
+
+
+class TestTransferKeys:
+    def test_default_key_bytes_are_pinned(self, monkeypatch):
+        """Stored fine-tunes are found by this digest."""
+        for name in (
+            "REPRO_PRETRAIN_STEPS",
+            "REPRO_TRANSFER_STEPS",
+            "REPRO_TRANSFER_WARMUP",
+            "REPRO_EVAL_BACKEND",
+            "REPRO_EVAL_CACHE",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        key = transfer_run_key(
+            "two_tia", "250nm", ExperimentSettings(), 0, True, False, True,
+            "transfer", source="180nm",
+        )
+        assert key.key_id() == "94ca923e7378dedc41cad90ab56534ad"
+
+    def test_finetunes_do_not_alias_across_pretrain_steps(self):
+        settings = tiny_settings()
+        settings.transfer_steps = 5
+        settings.transfer_targets = ["250nm"]
+        settings.pretrain_steps = 6
+        six = technology_transfer_experiment("two_tia", settings).transfer["250nm"][0]
+        settings.pretrain_steps = 12
+        twelve = technology_transfer_experiment("two_tia", settings).transfer["250nm"][0]
+        assert twelve is not six
+        clear_transfer_cache()
+        fresh = technology_transfer_experiment("two_tia", settings).transfer["250nm"][0]
+        assert twelve.rewards == fresh.rewards
+
+    def test_vectorized_settings_reach_key_and_environment(self, monkeypatch):
+        settings = tiny_settings()
+        settings.eval_backend = "vectorized"
+        key = transfer_run_key(
+            "two_tia", "45nm", settings, 0, True, False, True, "transfer",
+            source="180nm",
+        )
+        assert key.evaluator == ("evaluator", "vectorized", None, 0)
+        evaluators = []
+        real_build = transfer.build_environment
+
+        def recording_build(*args, **kwargs):
+            environment = real_build(*args, **kwargs)
+            evaluators.append(environment.evaluator)
+            return environment
+
+        monkeypatch.setattr(transfer, "build_environment", recording_build)
+        technology_transfer_experiment("two_tia", settings)
+        # One pretraining environment and two fine-tunes (transfer, scratch).
+        assert len(evaluators) == 3
+        assert all(isinstance(ev, VectorizedEvaluator) for ev in evaluators)
