@@ -77,11 +77,12 @@ def main() -> None:
         store_dir = os.path.join(tmp, "store")
 
         # --- 1. a worker subprocess starts the sweep ------------------------
-        launcher = ClusterLauncher(
-            spec, store_dir, workers=1, settings=settings,
-            ttl=1.0, checkpoint_every=1, poll_interval=0.05,
-            worker_prefix="victim",
-        )
+        with open_run_store("sqlite", store_dir) as store:
+            launcher = ClusterLauncher(
+                Campaign(spec, store, settings=settings), workers=1,
+                ttl=1.0, checkpoint_every=1, poll_interval=0.05,
+                worker_prefix="victim",
+            )
         victim = launcher.spawn()[0]
         print(f"victim worker started (pid {victim.pid})")
 

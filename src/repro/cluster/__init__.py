@@ -21,7 +21,7 @@ from repro.cluster.leases import (
     lease_store_for,
     make_owner_id,
 )
-from repro.cluster.launcher import ClusterLauncher, ClusterReport
+from repro.cluster.launcher import ClusterLauncher
 from repro.cluster.scheduler import (
     Assignment,
     CELL_STATES,
@@ -37,7 +37,6 @@ __all__ = [
     "CampaignWorker",
     "CellState",
     "ClusterLauncher",
-    "ClusterReport",
     "DEFAULT_TTL",
     "Lease",
     "LeaseHeartbeat",

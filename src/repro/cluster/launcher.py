@@ -4,7 +4,7 @@ The launcher is deliberately thin: each worker is just
 ``python -m repro.experiments worker --store-dir ... --spec ...`` — the
 exact command any *other* process on the host would run to join the sweep.
 All coordination happens through the store's lease table; the launcher
-only forks, waits, and summarizes.
+only forks and waits.
 
 Run-key-affecting configuration travels to the children explicitly: the
 grid as one ``--spec`` JSON argument, the RL warm-up fraction and the
@@ -21,57 +21,23 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cluster.leases import DEFAULT_TTL
-from repro.store.campaign import CampaignSpec
-
-
-@dataclass
-class ClusterReport:
-    """Outcome of one :meth:`ClusterLauncher.run`.
-
-    Attributes:
-        workers: Number of worker processes spawned.
-        exit_codes: Their exit codes, in spawn order.
-        total: Cells in the grid.
-        completed: Cells whose final record is in the store afterwards.
-        duration_s: Wall-clock seconds from spawn to last exit.
-    """
-
-    workers: int
-    exit_codes: List[int] = field(default_factory=list)
-    total: int = 0
-    completed: int = 0
-    duration_s: float = 0.0
-
-    def ok(self) -> bool:
-        """All workers exited cleanly and every cell completed."""
-        return all(code == 0 for code in self.exit_codes) and (
-            self.completed >= self.total
-        )
-
-    def summary(self) -> str:
-        state = "complete" if self.completed >= self.total else "incomplete"
-        return (
-            f"cluster {state}: workers={self.workers} "
-            f"exit_codes={self.exit_codes} completed={self.completed}/{self.total} "
-            f"duration={self.duration_s:.1f}s"
-        )
+from repro.store.campaign import Campaign
+from repro.store.sqlite import SqliteStore
 
 
 class ClusterLauncher:
     """Runs one campaign grid with N local worker subprocesses.
 
     Args:
-        spec: The grid to execute.
-        store_dir: Shared store directory all workers read/write.
+        campaign: The grid, store and run configuration to execute.  Its
+            store must be a :class:`~repro.store.SqliteStore` (the workers
+            share its directory) and its grid a spec (shipped to them as
+            ``--spec``); its warm-up fraction and evaluator stack are
+            exported to the children's environment.
         workers: Number of worker processes.
-        settings: Experiment settings; the run-key-relevant parts
-            (warm-up fraction, evaluator stack) are exported to the
-            children's environment.
-        evaluator_config: Evaluator stack override (else from settings).
         ttl: Lease time-to-live each worker uses.
         checkpoint_every: Driver checkpoint period (steps) in each worker.
         poll_interval: Worker sleep when all remaining cells are leased.
@@ -80,11 +46,8 @@ class ClusterLauncher:
 
     def __init__(
         self,
-        spec: CampaignSpec,
-        store_dir: str,
+        campaign: Campaign,
         workers: int = 2,
-        settings=None,
-        evaluator_config=None,
         ttl: float = DEFAULT_TTL,
         checkpoint_every: int = 1,
         poll_interval: float = 0.5,
@@ -92,11 +55,16 @@ class ClusterLauncher:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self.spec = spec
-        self.store_dir = str(store_dir)
+        if campaign.cells is not None or not isinstance(campaign.store, SqliteStore):
+            grid = "cell list" if campaign.cells is not None else "grid spec"
+            raise ValueError(
+                "a distributed sweep needs a grid spec and a directory-backed "
+                "(sqlite) store shared between workers; got a "
+                f"{grid} on {type(campaign.store).__name__}"
+            )
+        self.campaign = campaign
+        self.store_dir = campaign.store.directory
         self.workers = int(workers)
-        self.settings = settings
-        self.evaluator_config = evaluator_config
         self.ttl = float(ttl)
         self.checkpoint_every = int(checkpoint_every)
         self.poll_interval = float(poll_interval)
@@ -117,7 +85,7 @@ class ClusterLauncher:
             "--store-dir",
             self.store_dir,
             "--spec",
-            json.dumps(self.spec.to_dict(), sort_keys=True),
+            json.dumps(self.campaign.spec.to_dict(), sort_keys=True),
             "--worker-id",
             f"{self.worker_prefix}{index}",
             "--ttl",
@@ -141,14 +109,10 @@ class ClusterLauncher:
                 package_root + (os.pathsep + existing if existing else "")
             )
         # Everything that flows into run keys must match the parent exactly.
-        if self.settings is not None:
-            env["REPRO_WARMUP_FRACTION"] = str(self.settings.warmup_fraction)
-        evaluator = self.evaluator_config
-        if evaluator is None and self.settings is not None:
-            evaluator = self.settings.evaluator_config()
-        if evaluator is not None:
-            env["REPRO_EVAL_BACKEND"] = evaluator.backend
-            env["REPRO_EVAL_CACHE"] = str(evaluator.cache_size)
+        evaluator = self.campaign.evaluator_config
+        env["REPRO_WARMUP_FRACTION"] = str(self.campaign.settings.warmup_fraction)
+        env["REPRO_EVAL_BACKEND"] = evaluator.backend
+        env["REPRO_EVAL_CACHE"] = str(evaluator.cache_size)
         return env
 
     def spawn(self) -> List[subprocess.Popen]:
@@ -160,11 +124,12 @@ class ClusterLauncher:
         ]
         return self.processes
 
-    def run(self, timeout: Optional[float] = None) -> ClusterReport:
-        """Spawn the workers, wait for them, and report completion."""
-        from repro.store import SqliteStore
-        from repro.store.campaign import Campaign
+    def run(self, timeout: Optional[float] = None) -> List[int]:
+        """Spawn the workers, wait for them, and return their exit codes.
 
+        The campaign's store holds the outcome; ``Campaign.run(workers=N)``
+        reads its report from there.
+        """
         started = time.perf_counter()
         if not self.processes:
             self.spawn()
@@ -178,22 +143,7 @@ class ClusterLauncher:
         except (KeyboardInterrupt, subprocess.TimeoutExpired):
             self.terminate()
             raise
-        report = ClusterReport(
-            workers=self.workers,
-            exit_codes=[process.returncode for process in self.processes],
-            duration_s=time.perf_counter() - started,
-        )
-        with SqliteStore(self.store_dir) as store:
-            campaign = Campaign(
-                self.spec,
-                store,
-                settings=self.settings,
-                evaluator_config=self.evaluator_config,
-            )
-            status = campaign.status()
-        report.total = status["total"]
-        report.completed = status["completed"]
-        return report
+        return [process.returncode for process in self.processes]
 
     def terminate(self, grace_s: float = 10.0) -> None:
         """SIGTERM every worker (checkpoint-and-release), then SIGKILL."""

@@ -6,9 +6,10 @@ executor over a shared store: it repeatedly asks the
 it through :func:`~repro.experiments.runner.run_method` with periodic
 driver checkpoints, and keeps its lease alive from a background
 :class:`LeaseHeartbeat` thread while the method runs.  It is the only cell
-executor: ``Campaign.run`` (the ``sweep`` command) runs one in process, the
-``worker`` command and ``Campaign.run(workers=N)`` run one per process, and
-the optimization service runs one per queued job.
+executor: ``Campaign.run`` (the ``sweep`` command and the table and figure
+targets) runs one in process, the ``worker`` command and
+``Campaign.run(workers=N)`` run one per process, and the optimization
+service runs one per queued job.
 
 Shutdown paths, in decreasing order of grace:
 
@@ -200,7 +201,8 @@ class CampaignWorker:
         step_callbacks: Extra per-step driver callbacks, forwarded to
             :func:`run_method` (testing/telemetry).
         evaluator: Evaluator shared by every cell this worker executes;
-            defaults to one built from the campaign's evaluator config.
+            defaults to one built from the campaign's evaluator stack (the
+            stack its run keys name).
             Injectable so tests can wrap it in a fault injector.
     """
 
@@ -254,10 +256,7 @@ class CampaignWorker:
         request batches persist across the worker's cells.
         """
         if self._evaluator is None:
-            from repro.eval import EvaluatorConfig
-
-            config = self.campaign.evaluator_config or EvaluatorConfig()
-            self._evaluator = config.build()
+            self._evaluator = self.campaign.evaluator_config.build()
         return self._evaluator
 
     def request_stop(self) -> None:

@@ -25,9 +25,9 @@ from repro.experiments.runner import (
     build_strategy,
     clear_run_cache,
     default_run_store,
+    run_grid,
     run_key_for,
     run_method,
-    run_methods,
 )
 from repro.experiments.tables import (
     Table,
@@ -59,7 +59,7 @@ __all__ = [
     "OptimizationDriver",
     "DriverStep",
     "run_method",
-    "run_methods",
+    "run_grid",
     "run_key_for",
     "build_environment",
     "build_strategy",

@@ -89,6 +89,10 @@ def _build_settings(args: argparse.Namespace) -> ExperimentSettings:
     # else it would be silently ignored, so refuse it.
     if args.workers is not None and args.target != "sweep":
         raise ValueError("--workers applies to sweep only")
+    # --max-runs bounds the in-process sweep; N worker processes each drain
+    # the grid, so the bound would be silently dropped.
+    if args.workers is not None and args.workers > 1 and args.max_runs is not None:
+        raise ValueError("--max-runs cannot be combined with --workers")
     # Explicit None check: --cache-size 0 (caching off) is meaningful.
     if args.cache_size is not None:
         settings.eval_cache_size = args.cache_size
@@ -453,7 +457,10 @@ def main(argv: List[str] = None) -> int:
         "--max-runs",
         type=int,
         default=None,
-        help="stop the sweep after this many executed runs (resume later)",
+        help=(
+            "stop the in-process sweep after this many executed runs "
+            "(resume later); not with --workers"
+        ),
     )
     parser.add_argument(
         "--checkpoint-every",

@@ -4,24 +4,26 @@ Plotting libraries are not available offline, so each figure is produced as a
 :class:`FigureData` object holding the numeric series (step index vs. best
 FoM so far) plus helpers to render an ASCII sketch and to export CSV.  The
 series are exactly what the paper plots; a user with matplotlib installed can
-plot them directly.
+plot them directly.  Figure 5 runs its grid as campaign cells through
+:func:`~repro.experiments.runner.run_grid`, sharing them with Table I.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.experiments.config import CIRCUIT_LABELS, METHOD_LABELS, ExperimentSettings
 from repro.experiments.records import max_learning_curve, mean_learning_curve
-from repro.experiments.runner import run_methods
+from repro.experiments.runner import run_grid
 from repro.experiments.transfer import (
     technology_transfer_experiment,
     topology_transfer_experiment,
 )
-from repro.store import RunStore
+from repro.store import CampaignSpec, RunStore
 
 
 @dataclass
@@ -86,6 +88,10 @@ def figure5_learning_curves(
     """Figure 5: best-FoM learning curves of every method on each circuit."""
     settings = settings or ExperimentSettings()
     methods = [m for m in settings.methods if m != "human"]
+    spec = replace(CampaignSpec.from_settings(settings), methods=methods)
+    runs = defaultdict(list)
+    for cell, record in run_grid(spec, settings, store):
+        runs[cell.circuit, cell.method].append(record)
     figures: Dict[str, FigureData] = {}
     for circuit in settings.circuits:
         figure = FigureData(
@@ -93,9 +99,8 @@ def figure5_learning_curves(
             xlabel="simulation step",
             ylabel="max FoM",
         )
-        results = run_methods(methods, circuit, settings, store=store)
         for method in methods:
-            curve = max_learning_curve(results[method])
+            curve = max_learning_curve(runs[circuit, method])
             figure.add_series(METHOD_LABELS[method], curve)
         figures[circuit] = figure
     return figures

@@ -1,14 +1,16 @@
 """Run one optimization method on one circuit, backed by a run store.
 
-Tables and figures share runs: Table I and Figure 5 need exactly the same
-experiments, and Table II reuses the Two-TIA runs of Table I.  Every
-completed run is therefore written to a :class:`~repro.store.RunStore` under
-its canonical :class:`~repro.store.RunKey`; an identical request is served
-from the store instead of re-simulating.  The default store is an in-process
-:class:`~repro.store.MemoryStore` (the behaviour of the old ``_RUN_CACHE``
-dict); passing ``store=`` a :class:`~repro.store.SqliteStore` makes runs
-durable across processes, which is what the :class:`~repro.store.Campaign`
-orchestrator builds on.
+Every completed run is written to a :class:`~repro.store.RunStore` under its
+canonical :class:`~repro.store.RunKey`; an identical request is served from
+the store instead of re-simulating.  The default store is an in-process
+:class:`~repro.store.MemoryStore`; passing ``store=`` a
+:class:`~repro.store.SqliteStore` makes runs durable across processes.
+
+Paper grids (Tables I–III, Figure 5) run through :func:`run_grid`: their
+cells execute on a :class:`~repro.store.Campaign` — under leases, with
+retries and quarantine — so Table I and Figure 5 share their runs, Table II
+reuses the Two-TIA runs of Table I, and tables sharing a store share cells
+instead of computing them twice.
 
 Every method — black-box baselines, the human expert and the RL agents —
 executes through one :class:`~repro.experiments.driver.OptimizationDriver`
@@ -21,7 +23,7 @@ resumes from its last checkpoint instead of restarting.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.library import get_circuit
 from repro.env.environment import SizingEnvironment
@@ -33,7 +35,15 @@ from repro.experiments.records import RunRecord
 from repro.optim.registry import get_strategy, list_optimizers
 from repro.optim.strategy import Strategy
 from repro.rl.agent import AgentConfig
-from repro.store import MemoryStore, RunKey, RunStore, make_run_key
+from repro.store import (
+    Campaign,
+    CampaignSpec,
+    MemoryStore,
+    RunKey,
+    RunRequest,
+    RunStore,
+    make_run_key,
+)
 
 #: Methods needing the RL agent configuration (warm-up schedule in the key).
 RL_METHODS = ("gcn_rl", "ng_rl")
@@ -176,7 +186,6 @@ def run_method(
     evaluator: Optional[Evaluator] = None,
     store: Optional[RunStore] = None,
     checkpoint_every: int = 0,
-    max_steps: Optional[int] = None,
     callbacks: Sequence[StepCallback] = (),
     pause_check: Optional[Callable[[], bool]] = None,
 ) -> Optional[RunRecord]:
@@ -208,21 +217,19 @@ def run_method(
             ``use_cache=False``, which only disables *reading*).
         checkpoint_every: Persist the driver's full mid-run state to the
             store every K ask/tell steps (0 disables periodic checkpoints).
-        max_steps: Pause the run after this many ask/tell steps, writing a
-            final checkpoint, and return ``None`` (the record is incomplete).
-            Re-running the same request later resumes from the checkpoint.
         callbacks: Per-step driver callbacks (progress streaming, telemetry,
             early stop); forwarded verbatim to the
             :class:`~repro.experiments.driver.OptimizationDriver`.  Note a
             run served straight from the store never steps, so callbacks
             only fire on actual execution.
         pause_check: Forwarded to the driver — polled before each ask/tell
-            cycle; truthy pauses the run like ``max_steps`` (checkpoint
-            written, ``None`` returned), an exception aborts it without
-            touching the store (cluster lease-loss path).
+            cycle; truthy pauses the run (a final checkpoint is written and
+            ``None`` returned; re-running the same request later resumes
+            from it), an exception aborts it without touching the store
+            (cluster lease-loss path).
 
     Returns:
-        The completed :class:`RunRecord`, or ``None`` when ``max_steps``
+        The completed :class:`RunRecord`, or ``None`` when ``pause_check``
         paused the run before the budget was spent.
     """
     settings = settings or ExperimentSettings()
@@ -267,7 +274,7 @@ def run_method(
             resume=use_cache,
             pause_check=pause_check,
         )
-        result = driver.run(max_steps=max_steps)
+        result = driver.run()
     finally:
         # Release the evaluator even when the strategy/driver raises.  A
         # shared evaluator's bound view makes this a no-op, so campaign-wide
@@ -275,7 +282,7 @@ def run_method(
         environment.evaluator.close()
 
     if not driver.finished:
-        # Paused by max_steps: the checkpoint holds the partial state.
+        # Paused by pause_check: the checkpoint holds the partial state.
         return None
 
     record = RunRecord(
@@ -297,44 +304,30 @@ def run_method(
     return record
 
 
-def run_methods(
-    methods,
-    circuit_name: str,
+def run_grid(
+    spec: CampaignSpec,
     settings: Optional[ExperimentSettings] = None,
-    technology: Optional[str] = None,
-    steps: Optional[int] = None,
-    seeds: Optional[int] = None,
-    **kwargs,
-) -> Dict[str, list]:
-    """Run several methods across seeds; returns ``{method: [RunRecord, ...]}``.
+    store: Optional[RunStore] = None,
+) -> List[Tuple[RunRequest, RunRecord]]:
+    """Run a grid as campaign cells; ``(cell, record)`` pairs in sweep order.
 
-    Extra keyword arguments (``store=``, ``use_cache=``, ...) are forwarded
-    to :func:`run_method`.
+    The cells run on a :class:`~repro.store.Campaign` over ``store``
+    (default: the process-wide store), so cells already in the store are
+    read back and the rest are claimed under leases, retried and, when
+    they keep failing, quarantined.  A grid left with a quarantined or
+    unfinished cell raises ``RuntimeError`` naming each quarantined cell and
+    its marker, so a table never renders with a hole.
     """
-    settings = settings or ExperimentSettings()
-    # Explicit None checks: 0 is a legitimate caller value for steps/seeds
-    # (an empty sweep) and must not fall back to the settings defaults.
-    if technology is None:
-        technology = settings.technology
-    if steps is None:
-        steps = settings.steps
-    if seeds is None:
-        seeds = settings.seeds
-    results: Dict[str, list] = {}
-    for method in methods:
-        records = []
-        run_seeds = 1 if method == "human" else seeds
-        for seed in range(run_seeds):
-            records.append(
-                run_method(
-                    method,
-                    circuit_name,
-                    technology=technology,
-                    steps=steps,
-                    seed=seed,
-                    settings=settings,
-                    **kwargs,
-                )
-            )
-        results[method] = records
-    return results
+    campaign = Campaign(
+        spec, store if store is not None else _DEFAULT_STORE, settings=settings
+    )
+    report = campaign.run()
+    if report.remaining or report.quarantined:
+        markers = [
+            f"{cell.method} {cell.circuit} {cell.technology} seed={cell.seed}"
+            + (f" {dict(cell.weight_overrides)}" if cell.weight_overrides else "")
+            + f": {campaign.store.get_quarantine(campaign.key_for(cell))}"
+            for cell in campaign.quarantined()
+        ]
+        raise RuntimeError("; ".join([report.summary()] + markers))
+    return list(zip(campaign.requests(), report.records))

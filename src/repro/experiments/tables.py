@@ -3,23 +3,29 @@
 Every builder accepts an optional ``store=`` (a :class:`~repro.store.RunStore`):
 runs already present in the store are read back instead of re-simulated, and
 fresh runs are written to it, so regenerating a table against a persistent
-store is incremental across processes.
+store is incremental across processes.  Tables I–III describe their runs as
+a :class:`~repro.store.CampaignSpec` grid and run it through
+:func:`~repro.experiments.runner.run_grid` (campaign cells: leases, retries,
+quarantine); a cell that keeps failing raises ``RuntimeError`` instead of
+rendering a partial table.  Tables IV/V run transfer experiments, whose
+fine-tunes start from pretrained weights a grid cell cannot express.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional
 
 from repro.circuits.library import get_circuit
 from repro.experiments.config import CIRCUIT_LABELS, METHOD_LABELS, ExperimentSettings
 from repro.experiments.records import AggregateResult, RunRecord, aggregate
-from repro.experiments.runner import run_method, run_methods
+from repro.experiments.runner import run_grid
 from repro.experiments.transfer import (
     technology_transfer_experiment,
     topology_transfer_experiment,
 )
-from repro.store import RunStore
+from repro.store import CampaignSpec, RunStore
 
 
 @dataclass
@@ -74,11 +80,11 @@ def table1_fom_comparison(
         row_labels=[METHOD_LABELS[m] for m in settings.methods],
         column_labels=[CIRCUIT_LABELS[c] for c in settings.circuits],
     )
-    for circuit in settings.circuits:
-        results = run_methods(settings.methods, circuit, settings, store=store)
-        for method in settings.methods:
-            agg = aggregate(results[method])
-            table.set(METHOD_LABELS[method], CIRCUIT_LABELS[circuit], str(agg))
+    runs = defaultdict(list)
+    for cell, record in run_grid(CampaignSpec.from_settings(settings), settings, store):
+        runs[cell.method, cell.circuit].append(record)
+    for (method, circuit), records in runs.items():
+        table.set(METHOD_LABELS[method], CIRCUIT_LABELS[circuit], str(aggregate(records)))
     return table
 
 
@@ -113,14 +119,16 @@ def metric_breakdown_table(
         row_labels=[METHOD_LABELS[m] for m in settings.methods],
         column_labels=column_labels,
     )
-    results = run_methods(settings.methods, circuit_name, settings, store=store)
-    for method in settings.methods:
-        agg = aggregate(results[method])
-        best = max(results[method], key=lambda r: r.best_reward)
+    spec = replace(CampaignSpec.from_settings(settings), circuits=[circuit_name])
+    runs = defaultdict(list)
+    for cell, record in run_grid(spec, settings, store):
+        runs[cell.method].append(record)
+    for method, records in runs.items():
+        best = max(records, key=lambda r: r.best_reward)
         row = _metric_row(circuit_name, best.best_metrics)
         for definition, label in zip(metric_defs, column_labels):
             table.set(METHOD_LABELS[method], label, row[definition.name])
-        table.set(METHOD_LABELS[method], "FoM", str(agg))
+        table.set(METHOD_LABELS[method], "FoM", str(aggregate(records)))
     return table
 
 
@@ -153,24 +161,24 @@ def table2_two_tia(
     metric_defs = circuit.metric_definitions()
     column_labels = [f"{m.name} [{m.unit}]" for m in metric_defs]
 
+    spec = CampaignSpec(
+        methods=["gcn_rl"],
+        circuits=["two_tia"],
+        technologies=[settings.technology],
+        seeds=settings.seeds,
+        steps=settings.steps,
+        weight_overrides=[
+            {metric: emphasis_factor} for metric in TABLE2_EMPHASIS.values()
+        ],
+        apply_spec=False,
+    )
+    runs = defaultdict(list)
+    for cell, record in run_grid(spec, settings, store):
+        (metric,) = cell.weight_overrides  # {metric: emphasis_factor}
+        runs[metric].append(record)
     for row_name, metric in TABLE2_EMPHASIS.items():
         base.row_labels.append(row_name)
-        records = []
-        for seed in range(settings.seeds):
-            records.append(
-                run_method(
-                    "gcn_rl",
-                    "two_tia",
-                    technology=settings.technology,
-                    steps=settings.steps,
-                    seed=seed,
-                    settings=settings,
-                    weight_overrides={metric: emphasis_factor},
-                    apply_spec=False,
-                    store=store,
-                )
-            )
-        best = max(records, key=lambda r: r.best_reward)
+        best = max(runs[metric], key=lambda r: r.best_reward)
         row = _metric_row("two_tia", best.best_metrics)
         for definition, label in zip(metric_defs, column_labels):
             base.set(row_name, label, row[definition.name])

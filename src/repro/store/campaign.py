@@ -68,7 +68,7 @@ class CampaignSpec:
 
     Attributes:
         methods: Method registry names.  ``"human"`` expands to a single
-            seed (the expert design is deterministic), as in ``run_methods``.
+            seed (the expert design is deterministic).
         circuits: Circuit registry names.
         technologies: Technology node names.
         seeds: Number of seeds per cell (``range(seeds)``).
@@ -201,6 +201,11 @@ class CampaignReport:
 class Campaign:
     """Executes the missing cells of a grid spec against a run store.
 
+    The campaign owns its run configuration: ``settings`` (default: a fresh
+    :class:`~repro.experiments.config.ExperimentSettings`) and the evaluator
+    stack (default: the settings' stack) are resolved once here, and every
+    key, worker and worker process of the campaign uses them.
+
     An explicit ``cells`` list replaces the spec's grid (the service runs
     each job as a one-cell campaign); such a campaign runs in-process only.
     """
@@ -213,16 +218,19 @@ class Campaign:
         evaluator_config: Optional["EvaluatorConfig"] = None,
         cells: Optional[Sequence[RunRequest]] = None,
     ):
+        # Lazy import: repro.experiments.config imports repro.store.
+        from repro.experiments.config import ExperimentSettings
+
         self.spec = spec
         self.store = store
-        self.settings = settings
-        self.evaluator_config = evaluator_config
+        self.settings = settings or ExperimentSettings()
+        self.evaluator_config = evaluator_config or self.settings.evaluator_config()
         self.cells = cells
-        # key_for memo: computing a RunKey reconstructs ExperimentSettings
-        # (and, for RL methods, the warm-up schedule) per call — harmless
-        # once, hot when cluster workers poll pending()/status() between
-        # cells.  Keys are pure functions of the request + the bound
-        # settings/evaluator_config, so the cache never invalidates.
+        # key_for memo: building a RunKey canonicalises the request (and,
+        # for RL methods, the warm-up schedule) and hashes it per call —
+        # cheap once, hot when workers scan pending() between cells.  Keys
+        # are pure functions of the request + the bound settings and
+        # evaluator config, so the cache never invalidates.
         self._key_cache: Dict[tuple, RunKey] = {}
 
     def key_for(self, request: RunRequest) -> RunKey:
@@ -270,18 +278,6 @@ class Campaign:
             and self.store.get_quarantine(self.key_for(request)) is not None
         ]
 
-    def status(self) -> Dict[str, int]:
-        """``{"total", "completed", "pending", "quarantined"}`` counts."""
-        total = len(self.requests())
-        pending = len(self.pending())
-        quarantined = len(self.quarantined())
-        return {
-            "total": total,
-            "completed": total - pending - quarantined,
-            "pending": pending,
-            "quarantined": quarantined,
-        }
-
     def run(
         self,
         max_runs: Optional[int] = None,
@@ -314,31 +310,29 @@ class Campaign:
                 mid-run state every K ask/tell steps (0 disables).
             workers: Run the sweep on this many local worker processes over
                 the campaign's store directory
-                (:class:`repro.cluster.ClusterLauncher`) instead of one
-                in-process worker.  Requires a
+                (:class:`repro.cluster.ClusterLauncher`, which exports the
+                campaign's warm-up fraction and evaluator stack to them)
+                instead of one in-process worker.  Requires a
                 :class:`~repro.store.SqliteStore` and a grid spec;
                 incompatible with ``max_runs``, and ``progress`` is not
                 called (per-cell progress prints on each worker's stdout).
+                Raises ``RuntimeError`` when cells remain after the workers
+                exit.
         """
         # Lazy import: repro.cluster imports this module.
         from repro.cluster import CampaignWorker, ClusterLauncher
 
         requests = self.requests()
         done_before = [self.key_for(request) in self.store for request in requests]
-        cluster = None
+        exit_codes = None
         if workers is not None and workers > 1:
             if max_runs is not None:
                 raise ValueError(
                     "workers is incompatible with max_runs (it bounds the "
                     "in-process sweep)"
                 )
-            cluster = ClusterLauncher(
-                self.spec,
-                store_dir=self._store_directory(),
-                workers=workers,
-                settings=self.settings,
-                evaluator_config=self.evaluator_config,
-                checkpoint_every=checkpoint_every or 1,
+            exit_codes = ClusterLauncher(
+                self, workers=workers, checkpoint_every=checkpoint_every or 1
             ).run()
         else:
 
@@ -364,21 +358,9 @@ class Campaign:
             elif self.store.get_quarantine(key) is not None:
                 report.quarantined += 1
         report.interrupted = report.remaining > 0
-        if report.interrupted and cluster is not None and not cluster.ok():
+        if report.interrupted and exit_codes is not None:
             raise RuntimeError(
                 f"distributed sweep incomplete: {report.summary()}; "
-                f"worker exit codes {cluster.exit_codes}"
+                f"worker exit codes {exit_codes}"
             )
         return report
-
-    def _store_directory(self) -> str:
-        """Directory of the bound store, for worker spawns."""
-        # Lazy import keeps repro.store.campaign free of backend modules.
-        from repro.store.sqlite import SqliteStore
-
-        if not isinstance(self.store, SqliteStore):
-            raise ValueError(
-                "a distributed sweep needs a directory-backed (sqlite) store "
-                f"shared between workers; got {type(self.store).__name__}"
-            )
-        return self.store.directory

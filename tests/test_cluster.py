@@ -384,7 +384,7 @@ class TestCampaignWorker:
         report = worker.run()
         assert report.executed == 3  # human×1 + random×2
         assert report.skipped == report.lost == report.paused == 0
-        assert campaign.status()["pending"] == 0
+        assert campaign.pending() == []
         assert lease_store_for(store).leases() == []
         assert "executed=3" in report.summary()
 
@@ -409,7 +409,7 @@ class TestCampaignWorker:
         assert sum(r.executed for r in reports) + sum(
             r.skipped for r in reports) >= 4
         assert sum(r.executed for r in reports) == 4
-        assert campaign.status()["pending"] == 0
+        assert campaign.pending() == []
         # Each cell's record was produced exactly once.
         assert len(store) == 4
 
@@ -643,7 +643,7 @@ def _run_kill_resume_scenario(tmp_path, methods, steps, seeds, victim_method):
     survivor = CampaignWorker(campaign, worker_id="survivor", ttl=1.0,
                               checkpoint_every=1, poll_interval=0.05)
     report = survivor.run()
-    assert campaign.status()["pending"] == 0
+    assert campaign.pending() == []
     assert report.resumed >= 1, report.summary()
     assert report.stolen == 0, report.summary()
 
@@ -702,19 +702,40 @@ class TestClusterLauncherAndCampaignRun:
     def test_launcher_worker_command_is_joinable_cli(self, tmp_path):
         from repro.cluster import ClusterLauncher
 
-        settings = small_settings(("random",), steps=4)
-        launcher = ClusterLauncher(
-            CampaignSpec.from_settings(settings), store_dir=str(tmp_path),
-            workers=2, settings=settings, ttl=5.0,
-        )
+        with open_run_store("sqlite", tmp_path) as store:
+            campaign = small_campaign(store, methods=("random",), steps=4)
+            launcher = ClusterLauncher(campaign, workers=2, ttl=5.0)
         command = launcher.worker_command(1)
         assert command[1:4] == ["-m", "repro.experiments", "worker"]
+        assert command[command.index("--store-dir") + 1] == str(tmp_path)
         assert "--worker-id" in command
         assert command[command.index("--worker-id") + 1] == "worker1"
         spec_json = command[command.index("--spec") + 1]
         assert CampaignSpec.from_dict(json.loads(spec_json)).methods == ["random"]
         env = launcher._worker_env()
-        assert env["REPRO_WARMUP_FRACTION"] == str(settings.warmup_fraction)
+        assert env["REPRO_WARMUP_FRACTION"] == str(campaign.settings.warmup_fraction)
+
+    def test_launcher_exports_the_campaign_evaluator_stack(self, tmp_path):
+        from repro.cluster import ClusterLauncher
+
+        settings = small_settings(("random",), steps=4)
+        settings.eval_backend = "vectorized"
+        settings.eval_cache_size = 16
+        with open_run_store("sqlite", tmp_path) as store:
+            campaign = Campaign(CampaignSpec.from_settings(settings), store, settings=settings)
+            env = ClusterLauncher(campaign, workers=2)._worker_env()
+        assert env["REPRO_EVAL_BACKEND"] == "vectorized"
+        assert env["REPRO_EVAL_CACHE"] == "16"
+
+    def test_launcher_refuses_memory_store_and_cell_list(self, tmp_path):
+        from repro.cluster import ClusterLauncher
+
+        with pytest.raises(ValueError, match="directory-backed"):
+            ClusterLauncher(small_campaign(MemoryStore()))
+        with open_run_store("sqlite", tmp_path) as store:
+            cells = small_campaign(store).requests()
+            with pytest.raises(ValueError, match="directory-backed"):
+                ClusterLauncher(Campaign(None, store, cells=cells))
 
     def test_campaign_run_with_two_worker_processes(self, tmp_path):
         settings = small_settings(("human", "random"), steps=4, seeds=2)

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (runner, records, tables, figures)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,17 @@ from repro.experiments import (
     figure5_learning_curves,
     max_learning_curve,
     mean_learning_curve,
+    run_key_for,
     run_method,
-    run_methods,
     table1_fom_comparison,
+    table2_two_tia,
 )
+from repro.experiments import runner as runner_module
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.figures import FigureData
+from repro.experiments.tables import TABLE2_EMPHASIS, _metric_row
 from repro.service import ServiceConfig
+from repro.store import MemoryStore
 
 
 def tiny_settings(**overrides):
@@ -157,12 +163,6 @@ class TestRunner:
         assert first is second
         clear_run_cache()
 
-    def test_run_methods_uses_single_seed_for_human(self):
-        settings = tiny_settings(methods=["human", "random"], seeds=2)
-        results = run_methods(settings.methods, "two_tia", settings)
-        assert len(results["human"]) == 1
-        assert len(results["random"]) == 2
-
 
 class TestTablesAndFigures:
     def test_table_render_alignment(self):
@@ -190,6 +190,78 @@ class TestTablesAndFigures:
             assert len(series) == settings.steps
         clear_run_cache()
 
+    def test_concurrent_tables_on_one_store_build_each_cell_once(self, monkeypatch):
+        settings = tiny_settings(methods=["human", "random", "es"], seeds=2)
+        store = MemoryStore()
+        built = []
+        real_build = runner_module.build_environment
+
+        def counting_build(*args, **kwargs):
+            built.append(args[:2])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_environment", counting_build)
+        tables, errors = [None, None], []
+
+        def render(index):
+            try:
+                tables[index] = table1_fom_comparison(settings, store=store).render()
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=render, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert errors == []
+        # human x1 + random x2 + es x2: every cell ran exactly once.
+        assert len(built) == 5 and len(store) == 5
+        assert tables[0] == tables[1]
+
+    def test_failing_cell_raises_naming_it_and_is_quarantined(self, monkeypatch):
+        settings = tiny_settings(methods=["human", "random", "es"])
+        store = MemoryStore()
+        real_strategy = runner_module.build_strategy
+
+        def exploding_es(method, *args, **kwargs):
+            if method == "es":
+                raise RuntimeError("optimizer exploded")
+            return real_strategy(method, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "build_strategy", exploding_es)
+        with pytest.raises(
+            RuntimeError,
+            match=r"quarantined=1; es two_tia 180nm seed=0: .*optimizer exploded.*'attempts': 3",
+        ):
+            table1_fom_comparison(settings, store=store)
+        assert len(store) == 2  # human and random kept their records
+        key = run_key_for("es", "two_tia", steps=settings.steps, seed=0, settings=settings)
+        assert store.get(key) is None
+        assert store.get_quarantine(key)["attempts"] == 3
+
+    def test_table2_weighted_rows_come_from_override_cells(self):
+        settings = tiny_settings(methods=["human"])
+        store = MemoryStore()
+        table = table2_two_tia(settings, store=store)
+        assert table.row_labels == ["Human"] + list(TABLE2_EMPHASIS)
+        weighted = {
+            stored.key.overrides: stored
+            for stored in store.items()
+            if stored.key.method == "gcn_rl"
+        }
+        assert set(weighted) == {((m, 10.0),) for m in TABLE2_EMPHASIS.values()}
+        for row, metric in TABLE2_EMPHASIS.items():
+            stored = weighted[((metric, 10.0),)]
+            assert stored.key.apply_spec is False
+            expected = _metric_row("two_tia", stored.record.best_metrics)
+            for name, value in expected.items():
+                (label,) = [c for c in table.column_labels if c.startswith(f"{name} [")]
+                assert table.get(row, label) == value
+            assert table.get(row, "FoM") == "-"
+        assert "GCN-RL-5" in table.render()
+
     def test_figure_csv_and_ascii_export(self):
         figure = FigureData("demo", "step", "fom")
         figure.add_series("A", np.array([0.0, 0.5, 1.0]))
@@ -214,6 +286,19 @@ class TestCLI:
             cli_main([target, "--workers", "2", "--steps", "2", "--seeds", "1"])
         assert exit_info.value.code == 2
         assert "--workers applies to sweep only" in capsys.readouterr().err
+
+    def test_max_runs_with_workers_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_CIRCUITS", "two_tia")
+        monkeypatch.setenv("REPRO_METHODS", "human")
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([
+                "sweep", "--workers", "2", "--max-runs", "1", "--steps", "2",
+                "--seeds", "1", "--store-dir", str(store_dir),
+            ])
+        assert exit_info.value.code == 2
+        assert "--max-runs cannot be combined with --workers" in capsys.readouterr().err
+        assert not store_dir.exists()  # refused before any store or process
 
     def test_cli_table1_smoke(self, capsys, monkeypatch):
         clear_run_cache()

@@ -600,8 +600,7 @@ class TestClusterResilience:
         # The sweep is drained, not livelocked: status accounts for the
         # poison, the scheduler never hands it out again, and a second
         # worker run is an immediate no-op.
-        status = campaign.status()
-        assert status["pending"] == 0 and status["quarantined"] == 1
+        assert campaign.pending() == [] and campaign.quarantined() == [poisoned]
         states = cell_states(campaign, lease_store_for(store))
         assert sorted(s.state for s in states) == ["done", "quarantined"]
         rerun = CampaignWorker(campaign, poll_interval=0.01).run()
@@ -609,7 +608,7 @@ class TestClusterResilience:
 
         # Lifting the quarantine frees the cell again.
         store.delete_quarantine(campaign.key_for(poisoned))
-        assert campaign.status()["pending"] == 1
+        assert campaign.pending() == [poisoned]
 
     def test_ls_status_reports_quarantined_cells(self, tmp_path, capsys):
         spec = tiny_spec()
@@ -660,7 +659,7 @@ class TestClusterResilience:
         )
         report = worker.run()
         assert report.executed == 3 and report.quarantined == 0
-        assert campaign.status()["pending"] == 0
+        assert campaign.pending() == []
         # The harness verifiably injected something (or this test is vacuous
         # for the chosen seed) — and every record is still bit-identical.
         assert sum(chaos.injected.values()) >= 1

@@ -22,7 +22,6 @@ from repro.experiments import (
     RunRecord,
     run_key_for,
     run_method,
-    run_methods,
 )
 from repro.experiments import runner as runner_module
 from repro.experiments.__main__ import main as cli_main
@@ -411,30 +410,6 @@ class TestRunnerStoreIntegration:
             run_method("random", "two_tia", steps=2, seed=0, use_cache=False)
         assert closed == [True]
 
-    def test_run_methods_zero_seeds_not_replaced(self, monkeypatch):
-        calls = []
-
-        def fake_run_method(method, circuit_name, **kwargs):
-            calls.append((method, kwargs["steps"], kwargs["seed"]))
-            return RunRecord(method, circuit_name, "180nm", kwargs["seed"], 1, 0.0)
-
-        monkeypatch.setattr(runner_module, "run_method", fake_run_method)
-        results = run_methods(["random"], "two_tia", steps=0, seeds=0)
-        assert results["random"] == [] and calls == []
-
-    def test_run_methods_zero_steps_passed_through(self, monkeypatch):
-        calls = []
-
-        def fake_run_method(method, circuit_name, **kwargs):
-            calls.append(kwargs["steps"])
-            return RunRecord(method, circuit_name, "180nm", kwargs["seed"], 1, 0.0)
-
-        monkeypatch.setattr(runner_module, "run_method", fake_run_method)
-        # "human" always runs one seed, so steps=0 must reach run_method
-        # instead of falling back to settings.steps.
-        results = run_methods(["human"], "two_tia", steps=0, seeds=0)
-        assert len(results["human"]) == 1 and calls == [0]
-
 
 def tiny_spec(**overrides):
     spec = CampaignSpec(
@@ -486,13 +461,34 @@ class TestCampaign:
         assert not report.interrupted and report.remaining == 0
         again = campaign.run()
         assert again.executed == 0 and again.skipped == 3
-        assert campaign.status() == {
-            "total": 3,
-            "completed": 3,
-            "pending": 0,
-            "quarantined": 0,
-        }
+        assert campaign.pending() == [] and campaign.quarantined() == []
         store.close()
+
+    def test_settings_only_campaign_computes_on_the_stack_its_keys_name(self, monkeypatch):
+        from repro.eval import CachingEvaluator, VectorizedEvaluator
+
+        settings = ExperimentSettings(eval_backend="vectorized", eval_cache_size=16)
+        shared = []
+        real_build = runner_module.build_environment
+
+        def spy(*args, **kwargs):
+            environment = real_build(*args, **kwargs)
+            shared.append(environment.evaluator.shared)
+            return environment
+
+        monkeypatch.setattr(runner_module, "build_environment", spy)
+        store = MemoryStore()
+        campaign = Campaign(tiny_spec(), store, settings=settings)
+        assert campaign.run().executed == 3
+        assert len(shared) == 3
+        for evaluator in shared:
+            assert isinstance(evaluator, CachingEvaluator)
+            assert isinstance(evaluator.inner, VectorizedEvaluator)
+            assert evaluator.max_size == 16
+        for request in campaign.requests():
+            key = campaign.key_for(request)
+            assert key.evaluator == ("evaluator", "vectorized", None, 16)
+            assert store.get(key) is not None
 
     def test_interrupted_campaign_resumes_bit_identical(self, tmp_path):
         spec = tiny_spec()
