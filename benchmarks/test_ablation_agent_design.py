@@ -23,7 +23,8 @@ pytestmark = pytest.mark.slow
 from repro.circuits import get_circuit
 from repro.env import SizingEnvironment
 from repro.env.environment import StepResult
-from repro.rl import AgentConfig, GCNRLAgent
+from repro.experiments import OptimizationDriver
+from repro.rl import AgentConfig, GCNRLStrategy
 
 
 class NeighbourAgreementEnvironment(SizingEnvironment):
@@ -68,9 +69,8 @@ def _train(env, use_gcn, num_layers, episodes, baseline_decay=0.95, seed=0):
         updates_per_episode=3,
         reward_baseline_decay=baseline_decay,
     )
-    agent = GCNRLAgent(env, config, seed=seed)
-    agent.train(episodes)
-    return env.best_reward
+    strategy = GCNRLStrategy(env, seed=seed, config=config)
+    return OptimizationDriver(strategy, budget=episodes).run().best_reward
 
 
 EPISODES = 120

@@ -28,7 +28,7 @@ from repro.circuits.parameters import Sizing
 from repro.env import SizingEnvironment, calibrate_normalization, default_fom_config
 from repro.experiments import OptimizationDriver
 from repro.optim import BayesianOptimization, RandomSearch
-from repro.rl import AgentConfig, GCNRLAgent
+from repro.rl import AgentConfig, GCNRLStrategy
 from repro.spice import (
     Capacitor,
     Circuit,
@@ -140,11 +140,11 @@ def main() -> None:
         results[label] = driver.run().best_reward
 
     environment = SizingEnvironment(circuit, fom)
-    agent = GCNRLAgent(
-        environment, AgentConfig(warmup=max(10, args.steps // 3)), seed=0
+    config = AgentConfig(warmup=max(10, args.steps // 3))
+    driver = OptimizationDriver(
+        GCNRLStrategy(environment, seed=0, config=config), budget=args.steps
     )
-    agent.train(args.steps)
-    results["GCN-RL"] = environment.best_reward
+    results["GCN-RL"] = driver.run().best_reward
 
     print()
     for label, best in results.items():

@@ -1,10 +1,11 @@
 """Design porting: transfer sizing knowledge from 180nm to a new node.
 
 Reproduces the paper's technology-transfer workflow (Section III-E, Table IV)
-on a small budget: a GCN-RL agent is trained on the Two-TIA at 180nm, its
-actor-critic weights are saved, and the same agent is then fine-tuned on the
-45nm version of the circuit.  A second agent trained from scratch with the
-same target-node budget provides the "no transfer" comparison.
+on a small budget: a GCN-RL run on the Two-TIA at 180nm is stored together
+with its final actor-critic weights, and a run on the 45nm version of the
+circuit names it as its ``parent``, so its agent starts from those weights.
+A run trained from scratch with the same target-node budget provides the
+"no transfer" comparison.
 
 Usage:
     python examples/design_porting.py [--target 45nm]
@@ -13,16 +14,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import tempfile
-from pathlib import Path
 
-from repro.rl import (
-    AgentConfig,
-    GCNRLAgent,
-    load_agent_weights,
-    make_environment,
-    save_agent_weights,
-)
+from repro.experiments import run_method
+from repro.store import MemoryStore, RunRequest
 
 
 def main() -> None:
@@ -33,39 +27,39 @@ def main() -> None:
     parser.add_argument("--pretrain-steps", type=int, default=120)
     parser.add_argument("--transfer-steps", type=int, default=60)
     args = parser.parse_args()
+    store = MemoryStore()
 
-    # 1) Train the source agent at the source technology node.
+    # 1) Train the source agent at the source technology node.  The store
+    #    keeps the run's record and its final weights (the transferable
+    #    knowledge) under one run key.
     print(f"Pre-training GCN-RL on {args.circuit} @ {args.source} "
           f"({args.pretrain_steps} steps)...")
-    source_env = make_environment(args.circuit, args.source)
-    agent = GCNRLAgent(source_env, AgentConfig(warmup=30), seed=0)
-    agent.train(args.pretrain_steps)
-    print(f"  source-node best FoM: {source_env.best_reward:.3f}")
+    source = RunRequest("gcn_rl", args.circuit, args.source, args.pretrain_steps, 0)
+    pretrained = run_method(
+        "gcn_rl", args.circuit, args.source, steps=args.pretrain_steps, store=store
+    )
+    print(f"  source-node best FoM: {pretrained.best_reward:.3f}")
+    weights = store.get_weights(source.key())
+    print(f"  stored actor-critic weights: {len(weights) / 1024:.0f} KB")
 
-    # 2) Persist the learned weights (this is the transferable knowledge).
-    weights_path = Path(tempfile.gettempdir()) / "gcn_rl_two_tia_180nm.pkl"
-    save_agent_weights(agent, weights_path)
-    print(f"  saved actor-critic weights to {weights_path}")
-
-    # 3) Fine-tune the pretrained agent on the target node.
+    # 2) Fine-tune on the target node, starting from the source run's weights.
     print(f"\nPorting the design to {args.target} "
           f"({args.transfer_steps} fine-tuning steps)...")
-    target_env = make_environment(args.circuit, args.target)
-    transfer_agent = GCNRLAgent(
-        target_env, AgentConfig(warmup=15), seed=1
+    transfer = run_method(
+        "gcn_rl", args.circuit, args.target, steps=args.transfer_steps, seed=1,
+        store=store, parent=source,
     )
-    load_agent_weights(transfer_agent, weights_path)
-    transfer_agent.train(args.transfer_steps)
 
-    # 4) Train a fresh agent on the target node with the same budget.
-    scratch_env = make_environment(args.circuit, args.target)
-    scratch_agent = GCNRLAgent(scratch_env, AgentConfig(warmup=15), seed=1)
-    scratch_agent.train(args.transfer_steps)
+    # 3) Train a fresh agent on the target node with the same budget.
+    scratch = run_method(
+        "gcn_rl", args.circuit, args.target, steps=args.transfer_steps, seed=1,
+        store=store,
+    )
 
     print("\nResults on the target node (same fine-tuning budget):")
-    print(f"  with knowledge transfer : FoM {target_env.best_reward:.3f}")
-    print(f"  trained from scratch    : FoM {scratch_env.best_reward:.3f}")
-    if target_env.best_reward >= scratch_env.best_reward:
+    print(f"  with knowledge transfer : FoM {transfer.best_reward:.3f}")
+    print(f"  trained from scratch    : FoM {scratch.best_reward:.3f}")
+    if transfer.best_reward >= scratch.best_reward:
         print("  -> transfer matched or beat from-scratch training, as in the paper")
     else:
         print("  -> from-scratch won this run; increase the budgets to reduce noise")

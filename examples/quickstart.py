@@ -23,7 +23,8 @@ import numpy as np
 from repro.circuits import get_circuit
 from repro.env import SizingEnvironment, default_fom_config
 from repro.eval import BACKENDS, EvaluatorConfig
-from repro.rl import AgentConfig, GCNRLAgent
+from repro.experiments import OptimizationDriver
+from repro.rl import AgentConfig, GCNRLAgent, GCNRLStrategy
 from repro.store import Campaign, CampaignSpec, open_run_store
 
 
@@ -78,11 +79,13 @@ def main() -> None:
     )
     environment.reset_history()
 
-    # 4) Train the GCN-RL agent (DDPG with a GCN actor-critic).
+    # 4) Train the GCN-RL agent (DDPG with a GCN actor-critic): one driver
+    #    ask/tell cycle per episode, the warm-up episodes as one batch.
     config = AgentConfig(warmup=max(10, args.steps // 4))
     agent = GCNRLAgent(environment, config, seed=0)
     print(f"\nTraining GCN-RL for {args.steps} steps...")
-    for record in agent.train(args.steps):
+    OptimizationDriver(GCNRLStrategy.from_agent(agent), budget=args.steps).run()
+    for record in agent.training_log:
         if (record.episode + 1) % 25 == 0:
             print(
                 f"  step {record.episode + 1:4d}  reward {record.reward:6.3f}  "

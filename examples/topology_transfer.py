@@ -1,13 +1,13 @@
 """Topology transfer: reuse knowledge from the Two-TIA on the Three-TIA.
 
 Reproduces the paper's topology-transfer experiment (Section III-E, Table V)
-at a small budget.  Both environments use the dimension-independent state
-encoding (scalar component index instead of a one-hot), so the same GCN
-actor-critic can process either topology graph.  The example compares three
-agents fine-tuned on the Three-TIA with the same budget:
+at a small budget.  Every run uses the dimension-independent state encoding
+(``transferable_state``: scalar component index instead of a one-hot), so
+the same GCN actor-critic can process either topology graph.  The example
+compares three runs on the Three-TIA with the same budget:
 
-* GCN-RL initialised from Two-TIA weights (the paper's method),
-* NG-RL (no graph aggregation) initialised from Two-TIA weights, and
+* GCN-RL starting from a Two-TIA GCN-RL run's weights (the paper's method),
+* NG-RL (no graph aggregation) starting from a Two-TIA NG-RL run's weights,
 * GCN-RL trained from scratch.
 
 Usage:
@@ -18,25 +18,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.rl import AgentConfig, GCNRLAgent, make_environment
-
-
-def train_source(use_gcn: bool, circuit: str, steps: int, seed: int = 0):
-    environment = make_environment(circuit, "180nm", transferable_state=True)
-    config = AgentConfig(use_gcn=use_gcn, warmup=min(30, steps // 3))
-    agent = GCNRLAgent(environment, config, seed=seed)
-    agent.train(steps)
-    return agent.state_dict(), environment.best_reward
-
-
-def finetune(target: str, steps: int, use_gcn: bool, weights=None, seed: int = 1):
-    environment = make_environment(target, "180nm", transferable_state=True)
-    config = AgentConfig(use_gcn=use_gcn, warmup=min(15, steps // 3))
-    agent = GCNRLAgent(environment, config, seed=seed)
-    if weights is not None:
-        agent.load_state_dict(weights)
-    agent.train(steps)
-    return environment.best_reward
+from repro.experiments import run_method
+from repro.store import RunRequest
 
 
 def main() -> None:
@@ -48,14 +31,33 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Pre-training on {args.source} @ 180nm ({args.pretrain_steps} steps)...")
-    gcn_weights, gcn_src_fom = train_source(True, args.source, args.pretrain_steps)
-    ng_weights, ng_src_fom = train_source(False, args.source, args.pretrain_steps)
-    print(f"  source FoM: GCN-RL {gcn_src_fom:.3f}, NG-RL {ng_src_fom:.3f}")
+    sources = {
+        method: RunRequest(
+            method, args.source, "180nm", args.pretrain_steps, 0,
+            transferable_state=True,
+        )
+        for method in ("gcn_rl", "ng_rl")
+    }
+    source_fom = {
+        method: run_method(
+            method, args.source, "180nm", steps=args.pretrain_steps,
+            transferable_state=True,
+        ).best_reward
+        for method in sources
+    }
+    print(f"  source FoM: GCN-RL {source_fom['gcn_rl']:.3f}, "
+          f"NG-RL {source_fom['ng_rl']:.3f}")
+
+    def fine_tune(method, parent=None):
+        return run_method(
+            method, args.target, "180nm", steps=args.transfer_steps, seed=1,
+            transferable_state=True, parent=parent,
+        ).best_reward
 
     print(f"\nFine-tuning on {args.target} ({args.transfer_steps} steps each)...")
-    gcn_transfer = finetune(args.target, args.transfer_steps, True, gcn_weights)
-    ng_transfer = finetune(args.target, args.transfer_steps, False, ng_weights)
-    scratch = finetune(args.target, args.transfer_steps, True, None)
+    gcn_transfer = fine_tune("gcn_rl", sources["gcn_rl"])
+    ng_transfer = fine_tune("ng_rl", sources["ng_rl"])
+    scratch = fine_tune("gcn_rl")
 
     print("\nThree-TIA results with the same fine-tuning budget (Table V protocol):")
     print(f"  GCN-RL transfer : {gcn_transfer:.3f}")

@@ -362,6 +362,9 @@ class CampaignWorker:
                         checkpoint_every=self.checkpoint_every,
                         callbacks=self.step_callbacks,
                         pause_check=pause_check,
+                        warmup=request.warmup,
+                        transferable_state=request.transferable_state,
+                        parent=request.parent,
                     )
                     failure = None
                     break

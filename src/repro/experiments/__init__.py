@@ -41,7 +41,6 @@ from repro.experiments.tables import (
 from repro.experiments.transfer import (
     TechnologyTransferResult,
     TopologyTransferResult,
-    clear_transfer_cache,
     technology_transfer_experiment,
     topology_transfer_experiment,
 )
@@ -80,5 +79,4 @@ __all__ = [
     "TopologyTransferResult",
     "technology_transfer_experiment",
     "topology_transfer_experiment",
-    "clear_transfer_cache",
 ]

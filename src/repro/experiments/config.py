@@ -10,6 +10,9 @@ raised towards the paper's scale through environment variables:
 * ``REPRO_PRETRAIN_STEPS`` — source-task training budget for transfer.
 * ``REPRO_TRANSFER_STEPS`` — fine-tuning budget (paper: 300 = 100 warm-up +
   200 exploration).
+* ``REPRO_TRANSFER_WARMUP`` — random warm-up episodes inside that budget
+  (paper: 100; at most ``transfer_steps - 1``, so every fine-tune acts with
+  its transferred policy at least once).
 * ``REPRO_WARMUP_FRACTION`` — fraction of the budget used as RL warm-up.
 * ``REPRO_EVAL_BACKEND`` / ``REPRO_EVAL_CACHE`` — evaluator stack used for
   every simulator call (see :class:`repro.eval.EvaluatorConfig`); an
@@ -76,7 +79,7 @@ class ExperimentSettings:
         pretrain_steps: Source-task budget for transfer experiments.
         transfer_steps: Fine-tuning budget on the target task (paper: 300).
         transfer_warmup: Warm-up episodes inside the transfer budget
-            (paper: 100).
+            (paper: 100); a fine-tune uses at most ``transfer_steps - 1``.
         warmup_fraction: RL warm-up fraction of ``steps``.
         circuits: Circuits included in Table I / Figure 5.
         methods: Methods included in Table I / Figure 5.

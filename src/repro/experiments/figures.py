@@ -4,8 +4,9 @@ Plotting libraries are not available offline, so each figure is produced as a
 :class:`FigureData` object holding the numeric series (step index vs. best
 FoM so far) plus helpers to render an ASCII sketch and to export CSV.  The
 series are exactly what the paper plots; a user with matplotlib installed can
-plot them directly.  Figure 5 runs its grid as campaign cells through
-:func:`~repro.experiments.runner.run_grid`, sharing them with Table I.
+plot them directly.  Every figure runs its cells as campaign cells through
+:func:`~repro.experiments.runner.run_grid`: Figure 5 shares them with
+Table I, Figures 7 and 8 with Tables IV and V.
 """
 
 from __future__ import annotations

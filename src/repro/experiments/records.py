@@ -21,7 +21,8 @@ class RunRecord:
         best_reward: Best FoM found.
         best_metrics: Raw metrics of the best design.
         rewards: Per-step rewards (for learning curves).
-        extra: Free-form annotations (e.g. transfer source).
+        extra: Free-form annotations; the harness's own runs leave it
+            empty (a fine-tune's source is in its run key's ``parent``).
         wall_time_s: Wall-clock seconds the optimization loop consumed
             (accumulated across checkpoint/resume cycles), so learning
             curves can be plotted against wall-clock as well as sim-count.

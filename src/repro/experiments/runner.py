@@ -6,11 +6,14 @@ the store instead of re-simulating.  The default store is an in-process
 :class:`~repro.store.MemoryStore`; passing ``store=`` a
 :class:`~repro.store.SqliteStore` makes runs durable across processes.
 
-Paper grids (Tables I–III, Figure 5) run through :func:`run_grid`: their
-cells execute on a :class:`~repro.store.Campaign` — under leases, with
-retries and quarantine — so Table I and Figure 5 share their runs, Table II
-reuses the Two-TIA runs of Table I, and tables sharing a store share cells
-instead of computing them twice.
+Every paper table and figure runs through :func:`run_grid`: its cells
+execute on a :class:`~repro.store.Campaign` — under leases, with retries and
+quarantine — so Table I and Figure 5 share their runs, Table II reuses the
+Two-TIA runs of Table I, and tables sharing a store share cells instead of
+computing them twice.  A transfer fine-tune (Tables IV/V, Figures 7/8) is an
+RL cell naming a ``parent`` run: :func:`run_method` starts it from the
+parent's stored final weights, computing the parent first when the store
+has none.
 
 Every method — black-box baselines, the human expert and the RL agents —
 executes through one :class:`~repro.experiments.driver.OptimizationDriver`
@@ -23,7 +26,8 @@ resumes from its last checkpoint instead of restarting.
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+import pickle
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.circuits.library import get_circuit
 from repro.env.environment import SizingEnvironment
@@ -103,12 +107,18 @@ def build_environment(
 
 
 def default_agent_config(
-    steps: int, settings: ExperimentSettings, use_gcn: bool
+    steps: int,
+    settings: ExperimentSettings,
+    use_gcn: bool,
+    warmup: Optional[int] = None,
 ) -> AgentConfig:
-    """Agent hyper-parameters used throughout the experiment harness."""
+    """Agent hyper-parameters used throughout the experiment harness.
+
+    ``warmup`` replaces the settings' warm-up schedule when given.
+    """
     return AgentConfig(
         use_gcn=use_gcn,
-        warmup=settings.rl_warmup(steps),
+        warmup=settings.rl_warmup(steps) if warmup is None else int(warmup),
         num_gcn_layers=4,
         hidden_dim=48,
     )
@@ -120,16 +130,19 @@ def build_strategy(
     steps: int,
     seed: int,
     settings: Optional[ExperimentSettings] = None,
+    warmup: Optional[int] = None,
 ) -> Strategy:
     """Instantiate the registered strategy the runner uses for ``method``.
 
     The RL methods receive the harness's standard agent configuration (the
-    warm-up schedule depends on the budget and settings); every other
-    strategy is constructed with its registry defaults.
+    warm-up schedule is ``warmup``, else the one the budget and settings
+    imply); every other strategy is constructed with its registry defaults.
     """
     settings = settings or ExperimentSettings()
     if method in RL_METHODS:
-        config = default_agent_config(steps, settings, use_gcn=(method == "gcn_rl"))
+        config = default_agent_config(
+            steps, settings, use_gcn=(method == "gcn_rl"), warmup=warmup
+        )
         return get_strategy(method, environment, seed=seed, config=config)
     return get_strategy(method, environment, seed=seed)
 
@@ -144,21 +157,31 @@ def run_key_for(
     weight_overrides: Optional[Mapping[str, float]] = None,
     apply_spec: bool = True,
     evaluator_config: Optional[EvaluatorConfig] = None,
+    warmup: Optional[int] = None,
+    transferable_state: bool = False,
+    parent: Optional[RunRequest] = None,
 ) -> RunKey:
     """Canonical store key of the run :func:`run_method` would produce.
 
     The key must cover every setting that can change the produced record:
     besides the obvious (method, circuit, node, budget, seed), that is the
     canonicalised weight overrides, the spec toggle, the evaluator stack,
-    and — for the RL methods — the warm-up schedule the settings object
-    implies.  Leaving any of them out would let two different configurations
-    alias to the same stored record.
+    and — for the RL methods — the warm-up schedule (``warmup``, else the
+    one the settings object implies).  The state encoding and the parent
+    run (by its key id, which covers the parent's own budget, source task
+    and ancestry) enter ``extra`` only when set, so keys of ordinary runs
+    are unchanged.  Leaving any of them out would let two different
+    configurations alias to the same stored record.
     """
     settings = settings or ExperimentSettings()
     evaluator_config = evaluator_config or settings.evaluator_config()
     extra = {}
     if method in RL_METHODS:
-        extra["warmup"] = settings.rl_warmup(steps)
+        extra["warmup"] = settings.rl_warmup(steps) if warmup is None else int(warmup)
+    if transferable_state:
+        extra["transferable_state"] = True
+    if parent is not None:
+        extra["parent"] = parent.key(settings, evaluator_config).key_id()
     return make_run_key(
         method,
         circuit_name,
@@ -188,6 +211,9 @@ def run_method(
     checkpoint_every: int = 0,
     callbacks: Sequence[StepCallback] = (),
     pause_check: Optional[Callable[[], bool]] = None,
+    warmup: Optional[int] = None,
+    transferable_state: bool = False,
+    parent: Optional[RunRequest] = None,
 ) -> Optional[RunRecord]:
     """Run one sizing method and return its :class:`RunRecord`.
 
@@ -227,10 +253,24 @@ def run_method(
             ``None`` returned; re-running the same request later resumes
             from it), an exception aborts it without touching the store
             (cluster lease-loss path).
+        warmup: RL warm-up episodes; ``None`` keeps
+            ``settings.rl_warmup(steps)``.
+        transferable_state: Build the environment with the
+            topology-independent state encoding (topology transfer).
+        parent: The RL run whose final actor/critic weights this RL run
+            starts from.  They are read from ``store``; a parent with no
+            stored weights is first run through this function (same store,
+            evaluator, ``pause_check`` and checkpoint cadence).  A run and
+            its parent must share one state encoding, and a parent on
+            another circuit needs ``transferable_state``.
+
+    Every RL run stored here also stores its final weights
+    (``store.put_weights``), written before the record, so any stored RL
+    run can serve as a parent.
 
     Returns:
         The completed :class:`RunRecord`, or ``None`` when ``pause_check``
-        paused the run before the budget was spent.
+        paused the run (or its parent's) before the budget was spent.
     """
     settings = settings or ExperimentSettings()
     evaluator_config = evaluator_config or settings.evaluator_config()
@@ -244,6 +284,9 @@ def run_method(
         weight_overrides=weight_overrides,
         apply_spec=apply_spec,
         evaluator_config=evaluator_config,
+        warmup=warmup,
+        transferable_state=transferable_state,
+        parent=parent,
     )
     target_store = store if store is not None else _DEFAULT_STORE
     if use_cache:
@@ -251,18 +294,46 @@ def run_method(
         if cached is not None:
             return cached
 
+    weights = None
+    if parent is not None:
+        if method not in RL_METHODS or parent.method not in RL_METHODS:
+            raise ValueError(f"only RL runs have weights: {parent.method} -> {method}")
+        if parent.transferable_state != transferable_state or (
+            parent.circuit != circuit_name and not transferable_state
+        ):
+            raise ValueError(
+                f"{circuit_name} cannot start from {parent.circuit} weights: a run "
+                "and its parent share one state encoding, and transfer between "
+                "topologies needs transferable_state=True"
+            )
+        weights = _parent_weights(
+            parent,
+            settings,
+            evaluator_config,
+            evaluator,
+            target_store,
+            checkpoint_every,
+            pause_check,
+        )
+        if weights is None:
+            return None
+
     environment = build_environment(
         circuit_name,
         technology,
         weight_overrides,
         apply_spec,
+        transferable_state=transferable_state,
         evaluator_config=evaluator_config,
         evaluator=evaluator,
     )
 
     try:
         budget = 1 if method == "human" else steps
-        strategy = build_strategy(method, environment, steps, seed, settings)
+        strategy = build_strategy(method, environment, steps, seed, settings, warmup)
+        if weights is not None:
+            # Before the driver runs: a resumed checkpoint overrides them.
+            strategy.agent.load_state_dict(weights)
         driver = OptimizationDriver(
             strategy,
             environment,
@@ -298,34 +369,87 @@ def run_method(
         step_evaluations=list(result.step_evaluations),
     )
     if use_cache or store is not None:
+        if method in RL_METHODS:
+            # Before the record: a stored RL record implies stored weights.
+            target_store.put_weights(key, pickle.dumps(strategy.agent.state_dict()))
         target_store.put(key, record)
         # The completed record supersedes any mid-run checkpoint.
         target_store.delete_checkpoint(key)
     return record
 
 
+def _parent_weights(
+    parent: RunRequest,
+    settings: ExperimentSettings,
+    evaluator_config: EvaluatorConfig,
+    evaluator: Optional[Evaluator],
+    store: RunStore,
+    checkpoint_every: int,
+    pause_check: Optional[Callable[[], bool]],
+) -> Optional[Dict]:
+    """The final weights of ``parent``, running it first when none are stored.
+
+    A parent record filed without weights (by code that stored none) is run
+    again without reading that record; runs are deterministic, so the
+    re-put record is bit-identical.  ``None`` means ``pause_check`` paused
+    the parent run.
+    """
+    key = parent.key(settings, evaluator_config)
+    blob = store.get_weights(key)
+    if blob is None:
+        record = run_method(
+            parent.method,
+            parent.circuit,
+            technology=parent.technology,
+            steps=parent.steps,
+            seed=parent.seed,
+            settings=settings,
+            weight_overrides=parent.weight_overrides,
+            apply_spec=parent.apply_spec,
+            use_cache=key not in store,
+            evaluator_config=evaluator_config,
+            evaluator=evaluator,
+            store=store,
+            checkpoint_every=checkpoint_every,
+            pause_check=pause_check,
+            warmup=parent.warmup,
+            transferable_state=parent.transferable_state,
+            parent=parent.parent,
+        )
+        if record is None:
+            return None
+        blob = store.get_weights(key)
+    return pickle.loads(blob)
+
+
 def run_grid(
-    spec: CampaignSpec,
+    spec: Optional[CampaignSpec],
     settings: Optional[ExperimentSettings] = None,
     store: Optional[RunStore] = None,
+    cells: Optional[Sequence[RunRequest]] = None,
 ) -> List[Tuple[RunRequest, RunRecord]]:
     """Run a grid as campaign cells; ``(cell, record)`` pairs in sweep order.
 
-    The cells run on a :class:`~repro.store.Campaign` over ``store``
-    (default: the process-wide store), so cells already in the store are
-    read back and the rest are claimed under leases, retried and, when
-    they keep failing, quarantined.  A grid left with a quarantined or
-    unfinished cell raises ``RuntimeError`` naming each quarantined cell and
-    its marker, so a table never renders with a hole.
+    The cells — the spec's grid, or the explicit ``cells`` list — run on a
+    :class:`~repro.store.Campaign` over ``store`` (default: the
+    process-wide store), so cells already in the store are read back and
+    the rest are claimed under leases, retried and, when they keep failing,
+    quarantined.  A grid left with a quarantined or unfinished cell raises
+    ``RuntimeError`` naming each quarantined cell and its marker, so a table
+    never renders with a hole.
     """
     campaign = Campaign(
-        spec, store if store is not None else _DEFAULT_STORE, settings=settings
+        spec,
+        store if store is not None else _DEFAULT_STORE,
+        settings=settings,
+        cells=cells,
     )
     report = campaign.run()
     if report.remaining or report.quarantined:
         markers = [
             f"{cell.method} {cell.circuit} {cell.technology} seed={cell.seed}"
             + (f" {dict(cell.weight_overrides)}" if cell.weight_overrides else "")
+            + (f" from {cell.parent.circuit} {cell.parent.technology}" if cell.parent else "")
             + f": {campaign.store.get_quarantine(campaign.key_for(cell))}"
             for cell in campaign.quarantined()
         ]

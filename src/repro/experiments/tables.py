@@ -3,12 +3,12 @@
 Every builder accepts an optional ``store=`` (a :class:`~repro.store.RunStore`):
 runs already present in the store are read back instead of re-simulated, and
 fresh runs are written to it, so regenerating a table against a persistent
-store is incremental across processes.  Tables I–III describe their runs as
-a :class:`~repro.store.CampaignSpec` grid and run it through
+store is incremental across processes.  Every table runs its cells through
 :func:`~repro.experiments.runner.run_grid` (campaign cells: leases, retries,
-quarantine); a cell that keeps failing raises ``RuntimeError`` instead of
-rendering a partial table.  Tables IV/V run transfer experiments, whose
-fine-tunes start from pretrained weights a grid cell cannot express.
+quarantine): Tables I–III as a :class:`~repro.store.CampaignSpec` grid,
+Tables IV/V as the fine-tune cells of :mod:`repro.experiments.transfer`.  A
+cell that keeps failing raises ``RuntimeError`` instead of rendering a
+partial table.
 """
 
 from __future__ import annotations

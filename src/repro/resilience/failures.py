@@ -118,8 +118,8 @@ def classify_exception(error: BaseException) -> str:
     """Map an exception from the evaluation stack onto a failure kind.
 
     Precedence: a ``failure_kind`` attribute on the exception wins (the
-    chaos harness and :class:`EvalTimeoutError` self-classify), then the
-    timeout family, then OS/worker-pool breakage, then the catch-all
+    chaos harness and :class:`EvalTimeoutError` self-classify), then
+    ``TimeoutError``, then ``OSError`` (``worker_crash``), then the catch-all
     ``simulator_error``.
     """
     kind = getattr(error, "failure_kind", None)
@@ -127,16 +127,6 @@ def classify_exception(error: BaseException) -> str:
         return kind
     if isinstance(error, TimeoutError):
         return "timeout"
-    try:
-        from concurrent.futures import BrokenExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        if isinstance(error, FuturesTimeout):
-            return "timeout"
-        if isinstance(error, BrokenExecutor):
-            return "worker_crash"
-    except ImportError:  # pragma: no cover - stdlib always has these
-        pass
     if isinstance(error, OSError):
         return "worker_crash"
     return "simulator_error"

@@ -1,9 +1,10 @@
 """Retry/timeout policy: how hard to try before a failure is terminal.
 
-One frozen :class:`RetryPolicy` value travels the whole resilient path —
-the wrapper, the coalescer and the campaign worker all speak the same
-knobs, so "how many attempts / how long between them / how long may one
-attempt run" is configured in exactly one shape everywhere.
+One frozen :class:`RetryPolicy` value travels the resilient evaluation
+path — the wrapper and the service's coalescer speak the same knobs, so
+"how many attempts / how long between them / how long may one attempt
+run" is configured in one shape there.  The campaign worker retries whole
+cells with its own ``cell_retries`` / ``retry_backoff_s``.
 """
 
 from __future__ import annotations

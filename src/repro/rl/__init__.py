@@ -1,19 +1,10 @@
-"""Reinforcement-learning agent (DDPG + GCN) and transfer utilities."""
+"""Reinforcement-learning agent (DDPG + GCN) behind the ask/tell protocol."""
 
 from repro.rl.agent import AgentConfig, GCNRLAgent, TrainingRecord
 from repro.rl.networks import GCNActor, GCNCritic
 from repro.rl.noise import TruncatedGaussianNoise
 from repro.rl.replay_buffer import ReplayBuffer, Transition, TransitionBatch
 from repro.rl.strategy import GCNRLStrategy, NGRLStrategy
-from repro.rl.transfer import (
-    load_agent_weights,
-    make_environment,
-    pretrain_agent,
-    save_agent_weights,
-    train_agent,
-    transfer_to_technology,
-    transfer_to_topology,
-)
 
 __all__ = [
     "AgentConfig",
@@ -27,11 +18,4 @@ __all__ = [
     "TransitionBatch",
     "GCNRLStrategy",
     "NGRLStrategy",
-    "make_environment",
-    "pretrain_agent",
-    "train_agent",
-    "save_agent_weights",
-    "load_agent_weights",
-    "transfer_to_technology",
-    "transfer_to_topology",
 ]

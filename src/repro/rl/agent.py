@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.circuits.components import MAX_ACTION_DIM, TYPE_ORDER
-from repro.env.environment import SizingEnvironment, StepResult
+from repro.env.environment import SizingEnvironment
 from repro.nn.losses import mse_loss, mse_loss_grad
 from repro.nn.optim import Adam, clip_gradients
 from repro.rl.networks import GCNActor, GCNCritic
@@ -66,9 +66,13 @@ class TrainingRecord:
 class GCNRLAgent:
     """GCN-RL circuit designer agent (DDPG with a GCN actor-critic).
 
-    The same class implements the NG-RL ablation (``config.use_gcn=False``)
-    and supports knowledge transfer by saving/loading its actor-critic
-    weights and re-attaching to a different environment.
+    The same class implements the NG-RL ablation (``config.use_gcn=False``).
+    The agent holds the networks and the learning state; the episode loop
+    is :class:`~repro.rl.strategy.GCNRLStrategy` under the
+    :class:`~repro.experiments.driver.OptimizationDriver`.  Its actor-critic
+    weights (:meth:`state_dict`) are the unit of knowledge transfer:
+    ``run_method`` loads a parent run's stored final weights into a fresh
+    agent on the target task.
     """
 
     def __init__(
@@ -120,30 +124,8 @@ class GCNRLAgent:
         self._cached_observation: Optional[tuple] = None
 
     # --- environment handling -----------------------------------------------------
-    def attach_environment(self, environment: SizingEnvironment) -> None:
-        """Point the agent at a new environment (knowledge transfer).
-
-        The new environment must produce state vectors of the same width; use
-        ``transferable_state=True`` environments when transferring between
-        topologies with different component counts.
-        """
-        if environment.state_dim != self.state_dim:
-            raise ValueError(
-                "state dimension mismatch: "
-                f"agent expects {self.state_dim}, environment provides "
-                f"{environment.state_dim} (use transferable_state=True for "
-                "topology transfer)"
-            )
-        self.environment = environment
-        self.replay_buffer.clear()
-        self.reward_baseline = None
-        self.noise.reset()
-        self._episode = 0
-        self._cached_type_indices = None
-        self._cached_observation = None
-
     def _type_indices(self) -> np.ndarray:
-        """Component-type index per node, cached per attached environment."""
+        """Component-type index per node (computed once per agent)."""
         if self._cached_type_indices is None:
             self._cached_type_indices = np.asarray(
                 [
@@ -155,11 +137,11 @@ class GCNRLAgent:
         return self._cached_type_indices
 
     def _observe(self):
-        """The environment's (states, adjacency) pair, cached per attachment.
+        """The environment's (states, adjacency) pair, computed once.
 
-        Both arrays are deterministic functions of the attached circuit and
-        technology, so they are computed once per environment instead of on
-        every act/update.
+        Both arrays are deterministic functions of the agent's circuit and
+        technology, so they are computed once per agent instead of on every
+        act/update.
         """
         if self._cached_observation is None:
             self._cached_observation = self.environment.observe()
@@ -283,93 +265,15 @@ class GCNRLAgent:
         for param in self._critic_params:
             param.zero_grad()
 
-    def train_episode(self) -> TrainingRecord:
-        """Run one optimization episode (one circuit simulation)."""
-        states, _ = self._observe()
-        warmup = self._episode < self.config.warmup
-        if warmup:
-            actions = self.random_actions()
-        else:
-            actions = self.act(explore=True)
-        result: StepResult = self.environment.step(actions)
-        self.replay_buffer.add(states, actions, result.reward)
-        self._update_baseline(result.reward)
-
-        critic_loss = float("nan")
-        if not warmup:
-            for _ in range(self.config.updates_per_episode):
-                critic_loss = self._update_networks()
-            self.noise.step()
-
-        record = TrainingRecord(
-            episode=self._episode,
-            reward=result.reward,
-            best_reward=self.environment.best_reward,
-            critic_loss=critic_loss,
-            exploration_sigma=self.noise.sigma,
-            warmup=warmup,
-        )
-        self.training_log.append(record)
-        self._episode += 1
-        return record
-
-    def _train_warmup_batch(self, num_episodes: int) -> List[TrainingRecord]:
-        """Run ``num_episodes`` random warm-up episodes as one evaluator batch.
-
-        Warm-up episodes perform no network updates, so their action matrices
-        can all be sampled up front (the identical RNG stream as sequential
-        sampling) and simulated through ``step_batch``.  Replay-buffer,
-        baseline and log updates then replay per episode in order, so the
-        resulting agent state and training log are exactly those of
-        ``num_episodes`` sequential :meth:`train_episode` calls.
-        """
-        states, _ = self._observe()
-        actions_batch = [self.random_actions() for _ in range(num_episodes)]
-        running_best = self.environment.best_reward
-        results = self.environment.step_batch(actions_batch)
-        records = []
-        for actions, result in zip(actions_batch, results):
-            self.replay_buffer.add(states, actions, result.reward)
-            self._update_baseline(result.reward)
-            running_best = max(running_best, result.reward)
-            record = TrainingRecord(
-                episode=self._episode,
-                reward=result.reward,
-                best_reward=running_best,
-                critic_loss=float("nan"),
-                exploration_sigma=self.noise.sigma,
-                warmup=True,
-            )
-            self.training_log.append(record)
-            self._episode += 1
-            records.append(record)
-        return records
-
-    def train(self, num_episodes: int) -> List[TrainingRecord]:
-        """Run ``num_episodes`` episodes and return their training records.
-
-        Leading warm-up episodes are batched through the environment's
-        evaluator; the exploration episodes that follow stay sequential
-        because each action depends on the networks updated by the previous
-        episode.
-        """
-        records: List[TrainingRecord] = []
-        warmup_left = min(num_episodes, self.config.warmup - self._episode)
-        if warmup_left > 1:
-            records.extend(self._train_warmup_batch(warmup_left))
-        while len(records) < num_episodes:
-            records.append(self.train_episode())
-        return records
-
     # --- results / persistence -----------------------------------------------------------
     @property
     def best_reward(self) -> float:
-        """Best FoM found so far in the attached environment."""
+        """Best FoM found so far in the agent's environment."""
         return self.environment.best_reward
 
     @property
     def best_sizing(self):
-        """Best sizing found so far in the attached environment."""
+        """Best sizing found so far in the agent's environment."""
         return self.environment.best_sizing
 
     # Deliberately weights-only (the unit of knowledge transfer); the

@@ -1,13 +1,13 @@
 """The GCN-RL / NG-RL agents behind the ask/tell :class:`Strategy` protocol.
 
-One training episode is one ask/tell cycle: :meth:`ask` produces the action
-matrix (the actor's exploration action, or — during warm-up — a whole batch
-of random actions at once, exactly the batching ``GCNRLAgent.train`` used),
-the driver simulates it through the environment, and :meth:`tell` replays
-the learning side of the episode (replay buffer, reward baseline, network
-updates, exploration decay, training log).  The split leaves the agent's
-RNG stream untouched, so a driver-driven run is bit-identical to the legacy
-``agent.train(num_episodes)`` loop.
+This is the agent's only training loop.  One training episode is one
+ask/tell cycle: :meth:`ask` produces the action matrix (the actor's
+exploration action, or — during warm-up — every remaining random warm-up
+episode at once, sampled in episode order from the agent's RNG and
+simulated as one evaluator batch), the driver simulates it through the
+environment, and :meth:`tell` replays the learning side of the episode
+(replay buffer, reward baseline, network updates, exploration decay,
+training log) in episode order.
 
 Two registry names map to the same wrapper: ``gcn_rl`` (graph aggregation
 on) and ``ng_rl`` (the paper's no-graph ablation).
@@ -57,7 +57,7 @@ class GCNRLStrategy(Strategy):
 
     @classmethod
     def from_agent(cls, agent: GCNRLAgent) -> "GCNRLStrategy":
-        """Wrap an existing agent (transfer fine-tuning) without rebuilding it."""
+        """Wrap an existing agent without rebuilding it."""
         return cls(agent=agent)
 
     def ask(self) -> List[Proposal]:

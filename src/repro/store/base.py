@@ -54,13 +54,13 @@ class RunKey:
     Covers every setting that can change the produced record: the obvious
     coordinates (method, circuit, technology, budget, seed) plus the
     canonicalised FoM weight overrides, the hard-spec toggle, the evaluator
-    stack, and a free-form ``extra`` axis for method-specific schedule knobs
-    (RL warm-up, transfer budgets).  Two runs with equal keys are guaranteed
-    to be bit-identical given the deterministic simulator.
+    stack, and a free-form ``extra`` axis for RL run-shaping settings (the
+    warm-up, the state encoding, and the key id of the parent run a
+    transfer fine-tune starts from).  Two runs with equal keys are
+    guaranteed to be bit-identical given the deterministic simulator.
 
     Attributes:
-        method: Method registry name (``"gcn_rl"``, ``"bo"``, ...) or a
-            transfer label (``"transfer"``, ``"no_transfer_topology"``, ...).
+        method: Method registry name (``"gcn_rl"``, ``"bo"``, ...).
         circuit: Circuit registry name.
         technology: Technology node name.
         steps: Simulation budget.
@@ -69,7 +69,7 @@ class RunKey:
         apply_spec: Whether the circuit's hard spec was enforced.
         evaluator: The evaluator stack's :meth:`EvaluatorConfig.cache_key`.
         extra: Sorted ``(name, value)`` pairs of additional run-shaping
-            settings (e.g. ``("warmup", 26)``).
+            settings (e.g. ``("warmup", 26)``, ``("parent", "<key id>")``).
     """
 
     method: str
@@ -204,7 +204,8 @@ class RunStore(abc.ABC):
 
     @abc.abstractmethod
     def clear(self) -> None:
-        """Drop every stored run, checkpoint, quarantine marker and queued cell."""
+        """Drop every stored run, weights blob, checkpoint, quarantine marker
+        and queued cell."""
 
     def __contains__(self, key: RunKey) -> bool:
         return self.get(key) is not None
@@ -270,6 +271,27 @@ class RunStore(abc.ABC):
     def clear_checkpoints(self) -> None:
         """Drop every stored checkpoint."""
         self._checkpoint_rows().clear()
+
+    # --- final RL weights ---------------------------------------------------------
+    # The pickled actor/critic ``state_dict`` an RL run ended with, filed
+    # under the run's key: run_method writes it before the record, and a
+    # run naming that key as its ``parent`` starts from it (transfer).
+    # Kept like checkpoints: process memory here, a table in SqliteStore.
+
+    def _weights_rows(self) -> Dict[str, bytes]:
+        rows = getattr(self, "_weights", None)
+        if rows is None:
+            rows = {}
+            self._weights = rows
+        return rows
+
+    def put_weights(self, key: RunKey, state: bytes) -> None:
+        """Store the final-weights blob of the RL run ``key`` (latest wins)."""
+        self._weights_rows()[key.key_id()] = bytes(state)
+
+    def get_weights(self, key: RunKey) -> Optional[bytes]:
+        """Return the final-weights blob stored for ``key``, or ``None``."""
+        return self._weights_rows().get(key.key_id())
 
     # --- quarantine ---------------------------------------------------------------
     # A quarantined cell is one whose execution terminally failed after

@@ -2,11 +2,13 @@
 
 A :class:`CampaignSpec` describes a grid of runs — methods × circuits ×
 technologies × seeds × weight-overrides — exactly the shape of the paper's
-Tables I–V.  A :class:`Campaign` binds the spec to a store and executes only
-the cells the store does not already hold, so a campaign killed mid-sweep
-resumes by simply re-running it: finished cells are skipped, the remaining
-ones are computed, and the final records are bit-identical to an
-uninterrupted sweep (every run is deterministic given its key).
+Tables I–III; Tables IV/V pass their transfer fine-tunes as an explicit
+cell list instead.  A :class:`Campaign` binds the spec to a store and
+executes only the cells the store does not already hold, so a campaign
+killed mid-sweep resumes by simply re-running it: finished cells are
+skipped, the remaining ones are computed, and the final records are
+bit-identical to an uninterrupted sweep (every run is deterministic given
+its key).
 
 The orchestrator is intentionally thin: run identity lives in
 :class:`~repro.store.base.RunKey`, persistence in the store, and execution
@@ -30,7 +32,14 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
 
 @dataclass
 class RunRequest:
-    """One grid cell of a campaign (the arguments of one ``run_method``)."""
+    """One grid cell of a campaign (the arguments of one ``run_method``).
+
+    The last three fields shape RL runs only: ``warmup`` overrides the
+    settings' warm-up schedule, ``transferable_state`` selects the
+    topology-independent state encoding, and ``parent`` names the RL run
+    whose final actor/critic weights this run starts from (a transfer
+    fine-tune).
+    """
 
     method: str
     circuit: str
@@ -39,6 +48,9 @@ class RunRequest:
     seed: int
     weight_overrides: Optional[Mapping[str, float]] = None
     apply_spec: bool = True
+    warmup: Optional[int] = None
+    transferable_state: bool = False
+    parent: Optional["RunRequest"] = None
 
     def key(
         self,
@@ -59,6 +71,9 @@ class RunRequest:
             weight_overrides=self.weight_overrides,
             apply_spec=self.apply_spec,
             evaluator_config=evaluator_config,
+            warmup=self.warmup,
+            transferable_state=self.transferable_state,
+            parent=self.parent,
         )
 
 
@@ -207,7 +222,10 @@ class Campaign:
     key, worker and worker process of the campaign uses them.
 
     An explicit ``cells`` list replaces the spec's grid (the service runs
-    each job as a one-cell campaign); such a campaign runs in-process only.
+    each job as a one-cell campaign, the transfer tables their fine-tunes);
+    such a campaign runs in-process only.  A cell's ``parent`` is no grid
+    cell: ``run_method`` computes it inside the child's execution when the
+    store holds no weights for it, so no ordering between cells is needed.
     """
 
     def __init__(
@@ -244,6 +262,9 @@ class Campaign:
             request.seed,
             tuple(sorted(overrides.items())) if overrides is not None else None,
             request.apply_spec,
+            request.warmup,
+            request.transferable_state,
+            self.key_for(request.parent) if request.parent is not None else None,
         )
         key = self._key_cache.get(cache_key)
         if key is None:

@@ -38,5 +38,6 @@ class MemoryStore(RunStore):
     def clear(self) -> None:
         self._rows.clear()
         self.clear_checkpoints()
+        self._weights_rows().clear()
         self.clear_quarantine()
         self._queue_rows().clear()

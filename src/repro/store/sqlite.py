@@ -3,8 +3,8 @@
 Each store directory holds one ``runs.sqlite`` database: the runs, with a
 composite index over (method, circuit, technology, seed) so membership
 tests and filtered queries stay O(log n) regardless of campaign size, plus
-the mid-run checkpoints, the quarantine markers, the service's run
-``queue`` and the cluster's ``leases`` table.  Writes are committed per
+the mid-run checkpoints, the final ``weights`` of RL runs, the quarantine
+markers, the service's run ``queue`` and the cluster's ``leases`` table.  Writes are committed per
 ``put`` — a killed process loses at most the run in flight.
 
 The store is built for *concurrent* access: the optimization service's run
@@ -52,6 +52,10 @@ CREATE TABLE IF NOT EXISTS runs (
 CREATE INDEX IF NOT EXISTS idx_runs_coords
     ON runs (method, circuit, technology, seed);
 CREATE TABLE IF NOT EXISTS checkpoints (
+    key_id  TEXT PRIMARY KEY,
+    state   BLOB NOT NULL
+);
+CREATE TABLE IF NOT EXISTS weights (
     key_id  TEXT PRIMARY KEY,
     state   BLOB NOT NULL
 );
@@ -220,6 +224,7 @@ class SqliteStore(RunStore):
     def clear(self) -> None:
         self._conn.execute("DELETE FROM runs")
         self._conn.execute("DELETE FROM checkpoints")
+        self._conn.execute("DELETE FROM weights")
         self._conn.execute("DELETE FROM quarantine")
         self._conn.execute("DELETE FROM queue")
         self._conn.commit()
@@ -248,6 +253,21 @@ class SqliteStore(RunStore):
     def clear_checkpoints(self) -> None:
         self._conn.execute("DELETE FROM checkpoints")
         self._conn.commit()
+
+    # --- final RL weights: a blob row per completed RL run -----------------------
+    def put_weights(self, key: RunKey, state: bytes) -> None:
+        self._conn.execute(
+            "INSERT OR REPLACE INTO weights (key_id, state) VALUES (?, ?)",
+            (key.key_id(), sqlite3.Binary(bytes(state))),
+        )
+        self._conn.commit()
+
+    def get_weights(self, key: RunKey) -> Optional[bytes]:
+        cursor = self._conn.execute(
+            "SELECT state FROM weights WHERE key_id = ?", (key.key_id(),)
+        )
+        row = cursor.fetchone()
+        return bytes(row[0]) if row is not None else None
 
     # --- quarantine: a JSON row per poisoned cell ---------------------------------
     def put_quarantine(self, key: RunKey, info) -> None:

@@ -32,7 +32,7 @@ from repro.optim.gaussian_process import (
     upper_confidence_bound,
 )
 from repro.optim.mace import pareto_front_indices
-from repro.rl.agent import AgentConfig, GCNRLAgent
+from repro.rl.agent import AgentConfig, GCNRLAgent, TrainingRecord
 from repro.rl.strategy import GCNRLStrategy
 from repro.store import MemoryStore, SqliteStore, make_run_key
 
@@ -239,14 +239,41 @@ def tiny_rl_config(warmup=4):
     )
 
 
+def legacy_rl(agent, episodes):
+    """The pre-redesign ``GCNRLAgent.train`` loop: one simulation per episode."""
+    for _ in range(episodes):
+        states, _ = agent.environment.observe()
+        warmup = agent._episode < agent.config.warmup
+        actions = agent.random_actions() if warmup else agent.act(explore=True)
+        result = agent.environment.step(actions)
+        agent.replay_buffer.add(states, actions, result.reward)
+        agent._update_baseline(result.reward)
+        critic_loss = float("nan")
+        if not warmup:
+            for _ in range(agent.config.updates_per_episode):
+                critic_loss = agent._update_networks()
+            agent.noise.step()
+        agent.training_log.append(
+            TrainingRecord(
+                episode=agent._episode,
+                reward=result.reward,
+                best_reward=agent.environment.best_reward,
+                critic_loss=critic_loss,
+                exploration_sigma=agent.noise.sigma,
+                warmup=warmup,
+            )
+        )
+        agent._episode += 1
+
+
 class TestRLParity:
-    """The RL strategy reproduces agent.train() episode for episode."""
+    """The RL strategy reproduces the per-episode loop episode for episode."""
 
     def test_rl_strategy_matches_agent_train(self):
         steps = 10
         env_a = make_rl_env()
         agent_a = GCNRLAgent(env_a, config=tiny_rl_config(), seed=0)
-        agent_a.train(steps)
+        legacy_rl(agent_a, steps)
 
         env_b = make_rl_env()
         agent_b = GCNRLAgent(env_b, config=tiny_rl_config(), seed=0)

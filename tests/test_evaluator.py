@@ -324,18 +324,20 @@ class TestEvaluatorConfig:
         assert len(keys) == 3
 
     @pytest.mark.parametrize(
-        "config,key_id",
+        "config,key_id,method",
         [
-            (EvaluatorConfig(), "776b77f35c9f0cf3f436f6d149a1c186"),
+            (EvaluatorConfig(), "776b77f35c9f0cf3f436f6d149a1c186", "es"),
             (
                 EvaluatorConfig(backend="vectorized", cache_size=64),
                 "c52edc9ac6e8ad12ba50c7d8ec9e31ba",
+                "es",
             ),
+            (EvaluatorConfig(), "2d6ffb1a5fad77c1a40222666fe75979", "gcn_rl"),
         ],
     )
-    def test_run_key_bytes_are_pinned(self, config, key_id):
+    def test_run_key_bytes_are_pinned(self, config, key_id, method):
         """Every stored run and checkpoint is found by this digest."""
-        key = run_key_for("es", "two_tia", steps=8, seed=0, evaluator_config=config)
+        key = run_key_for(method, "two_tia", steps=8, seed=0, evaluator_config=config)
         assert key.key_id() == key_id
 
 

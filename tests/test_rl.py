@@ -7,16 +7,17 @@ from repro.circuits import get_circuit
 from repro.circuits.components import TYPE_ORDER
 from repro.env import SizingEnvironment
 from repro.env.environment import StepResult
+from repro.experiments import OptimizationDriver, build_environment
 from repro.rl import (
     AgentConfig,
     GCNActor,
     GCNCritic,
     GCNRLAgent,
+    GCNRLStrategy,
     ReplayBuffer,
     Transition,
     TransitionBatch,
     TruncatedGaussianNoise,
-    make_environment,
 )
 
 
@@ -340,6 +341,12 @@ def synthetic_env():
     return SyntheticEnvironment(get_circuit("two_tia"))
 
 
+def drive(agent, episodes):
+    """Train ``agent`` for ``episodes`` through the driver; its training log."""
+    OptimizationDriver(GCNRLStrategy.from_agent(agent), budget=episodes).run()
+    return agent.training_log
+
+
 class TestAgent:
     def test_agent_training_improves_on_synthetic_task(self, synthetic_env):
         config = AgentConfig(
@@ -350,7 +357,7 @@ class TestAgent:
             updates_per_episode=3,
         )
         agent = GCNRLAgent(synthetic_env, config, seed=0)
-        log = agent.train(120)
+        log = drive(agent, 120)
         early = np.mean([r.reward for r in log[:15]])
         late = np.mean([r.reward for r in log[-15:]])
         assert late > early
@@ -359,7 +366,7 @@ class TestAgent:
     def test_warmup_episodes_are_random(self, synthetic_env):
         config = AgentConfig(warmup=5, num_gcn_layers=1, hidden_dim=8)
         agent = GCNRLAgent(synthetic_env, config, seed=1)
-        log = agent.train(5)
+        log = drive(agent, 5)
         assert all(record.warmup for record in log)
 
     def test_act_produces_valid_actions(self, synthetic_env):
@@ -387,40 +394,31 @@ class TestAgent:
         other.load_state_dict(state)
         assert np.allclose(before, other.act(explore=False))
 
-    def test_attach_environment_rejects_state_mismatch(self):
-        env_a = SizingEnvironment(get_circuit("two_tia"))
-        env_b = SizingEnvironment(get_circuit("three_tia"))
-        agent = GCNRLAgent(env_a, AgentConfig(num_gcn_layers=1, hidden_dim=8))
-        with pytest.raises(ValueError):
-            agent.attach_environment(env_b)
+    def test_weights_refuse_another_state_width(self):
+        config = AgentConfig(num_gcn_layers=1, hidden_dim=8)
+        source = GCNRLAgent(SizingEnvironment(get_circuit("two_tia")), config)
+        target = GCNRLAgent(SizingEnvironment(get_circuit("three_tia")), config)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            target.load_state_dict(source.state_dict())
 
-    def test_attach_environment_allows_transferable_topologies(self):
+    def test_weights_load_across_transferable_topologies(self):
+        config = AgentConfig(num_gcn_layers=1, hidden_dim=8)
         env_a = SizingEnvironment(get_circuit("two_tia"), transferable_state=True)
         env_b = SizingEnvironment(get_circuit("three_tia"), transferable_state=True)
-        agent = GCNRLAgent(env_a, AgentConfig(num_gcn_layers=1, hidden_dim=8))
-        agent.attach_environment(env_b)
-        assert agent.environment is env_b
-
-    def test_attach_environment_resets_buffers(self, synthetic_env):
-        agent = GCNRLAgent(
-            synthetic_env,
-            AgentConfig(num_gcn_layers=1, hidden_dim=8, warmup=1),
-            seed=0,
-        )
-        agent.train(3)
-        fresh = SyntheticEnvironment(get_circuit("two_tia"))
-        agent.attach_environment(fresh)
-        assert len(agent.replay_buffer) == 0
-        assert agent._episode == 0
+        source = GCNRLAgent(env_a, config, seed=0)
+        target = GCNRLAgent(env_b, config, seed=1)
+        target.load_state_dict(source.state_dict())
+        for name, value in source.actor.state_dict().items():
+            assert np.array_equal(target.actor.state_dict()[name], value), name
 
     def test_training_on_real_environment_smoke(self):
-        env = make_environment("two_tia", "180nm")
+        env = build_environment("two_tia", "180nm")
         config = AgentConfig(
             warmup=3, num_gcn_layers=2, hidden_dim=16, batch_size=8,
             updates_per_episode=1,
         )
         agent = GCNRLAgent(env, config, seed=0)
-        log = agent.train(6)
+        log = drive(agent, 6)
         assert len(log) == 6
         assert np.isfinite(agent.best_reward)
 
@@ -449,8 +447,8 @@ class TestBatchedUpdateParity:
         batched = GCNRLAgent(make_env(), config, seed=0)
         sequential = GCNRLAgent(make_env(), config, seed=0)
         sequential._update_networks = sequential._update_networks_loop
-        log_batched = batched.train(episodes)
-        log_sequential = sequential.train(episodes)
+        log_batched = drive(batched, episodes)
+        log_sequential = drive(sequential, episodes)
         return batched, sequential, log_batched, log_sequential
 
     def test_synthetic_training_run_parity(self):
@@ -480,7 +478,7 @@ class TestBatchedUpdateParity:
         run.
         """
         batched, sequential, log_b, log_s = self._train_pair(
-            lambda: make_environment("two_tia", "180nm"),
+            lambda: build_environment("two_tia", "180nm"),
             episodes=40,
             warmup=10,
         )
@@ -498,6 +496,6 @@ class TestBatchedUpdateParity:
             SyntheticEnvironment(get_circuit("two_tia")), config, seed=7
         )
         sequential._update_networks = sequential._update_networks_loop
-        batched.train(8)
-        sequential.train(8)
+        drive(batched, 8)
+        drive(sequential, 8)
         assert batched.rng.integers(0, 2**31) == sequential.rng.integers(0, 2**31)

@@ -12,6 +12,7 @@ import sqlite3
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.store import (
     CampaignSpec,
     MemoryStore,
     RunKey,
+    RunRequest,
     SqliteStore,
     STORE_BACKENDS,
     make_run_key,
@@ -150,18 +152,36 @@ class TestRunKey:
         assert run_key_for("random", "two_tia", steps=30).extra == ()
 
     def test_transfer_key_covers_pretraining_source(self):
-        from repro.experiments.transfer import transfer_run_key
-
         settings = ExperimentSettings()
-        args = ("three_tia", "65nm", settings, 0, True, False, True, "transfer")
-        from_180 = transfer_run_key(*args, source="180nm")
-        from_250 = transfer_run_key(*args, source="250nm")
-        assert from_180 != from_250
-        # Scratch runs have no pretraining source, so it must not split keys.
-        scratch = ("three_tia", "65nm", settings, 0, True, False, False, "no_transfer")
-        assert transfer_run_key(*scratch, source="180nm") == transfer_run_key(
-            *scratch, source="250nm"
-        )
+
+        def fine_tune(parent):
+            cell = RunRequest("gcn_rl", "three_tia", "65nm", 60, 0, warmup=20, parent=parent)
+            return cell.key(settings)
+
+        source = RunRequest("gcn_rl", "three_tia", "180nm", 120, 0)
+        from_180 = fine_tune(source)
+        assert from_180 != fine_tune(replace(source, technology="250nm"))
+        assert from_180 != fine_tune(replace(source, steps=240))
+        assert ("parent", source.key(settings).key_id()) in from_180.extra
+        # Scratch runs have no pretraining source: nothing but the warm-up.
+        assert fine_tune(None).extra == (("warmup", 20),)
+
+    def test_key_for_memo_covers_every_transfer_field(self):
+        settings = ExperimentSettings()
+        campaign = Campaign(None, MemoryStore(), settings=settings, cells=[])
+        base = RunRequest("gcn_rl", "two_tia", "45nm", 8, 0)
+        source = RunRequest("gcn_rl", "two_tia", "180nm", 10, 0)
+        cells = [
+            base,
+            replace(base, warmup=3),
+            replace(base, transferable_state=True),
+            replace(base, parent=source),
+            replace(base, parent=replace(source, technology="250nm")),
+        ]
+        keys = [campaign.key_for(cell) for cell in cells]
+        assert len(set(keys)) == len(cells)
+        for cell, key in zip(cells, keys):
+            assert key == cell.key(settings, campaign.evaluator_config)
 
 
 class TestStoreConformance:
@@ -276,6 +296,43 @@ class TestCheckpointConformance:
             store.put_checkpoint(key, b"durable")
         with open_run_store(backend, tmp_path / "store") as store:
             assert store.get_checkpoint(key) == b"durable"
+
+
+class TestWeightsConformance:
+    """Every backend keeps an RL run's final weights next to its record."""
+
+    def test_put_get_round_trip_latest_wins(self, store):
+        key = sample_key()
+        assert store.get_weights(key) is None
+        store.put_weights(key, b"weights-1")
+        store.put_weights(key, b"weights-2")
+        assert store.get_weights(key) == b"weights-2"
+        assert store.get_weights(sample_key(seed=1)) is None
+
+    def test_clear_drops_weights(self, store):
+        store.put_weights(sample_key(), b"blob")
+        store.clear()
+        assert store.get_weights(sample_key()) is None
+
+    @pytest.mark.parametrize("backend", PERSISTENT_BACKENDS)
+    def test_weights_survive_reopen(self, backend, tmp_path):
+        with open_run_store(backend, tmp_path / "store") as store:
+            store.put_weights(sample_key(), b"durable")
+        with open_run_store(backend, tmp_path / "store") as store:
+            assert store.get_weights(sample_key()) == b"durable"
+
+    def test_rl_run_files_weights_before_its_record(self, store, monkeypatch):
+        def crash(key, record):
+            raise RuntimeError("killed between the two writes")
+
+        monkeypatch.setattr(store, "put", crash)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_method("gcn_rl", "two_tia", steps=2, seed=0, store=store)
+        key = run_key_for("gcn_rl", "two_tia", steps=2, seed=0)
+        assert store.get_weights(key) is not None and key not in store
+        monkeypatch.undo()
+        run_method("random", "two_tia", steps=2, seed=0, store=store)
+        assert store.get_weights(run_key_for("random", "two_tia", steps=2)) is None
 
 
 class TestQueueConformance:
@@ -517,8 +574,7 @@ class TestCampaign:
             assert ours.method == theirs.method and ours.seed == theirs.seed
 
     def test_fully_stored_transfer_skips_pretraining(self, tmp_path, monkeypatch):
-        from repro.experiments import clear_transfer_cache, transfer
-        from repro.experiments.transfer import technology_transfer_experiment
+        from repro.experiments import table4_technology_transfer
 
         settings = ExperimentSettings()
         settings.pretrain_steps = 6
@@ -526,29 +582,16 @@ class TestCampaign:
         settings.transfer_warmup = 2
         settings.seeds = 1
         settings.transfer_targets = ["250nm"]
-
-        clear_transfer_cache()
         with open_run_store("sqlite", tmp_path / "store") as store:
-            first = technology_transfer_experiment("two_tia", settings, store=store)
+            first = table4_technology_transfer(settings, store=store).render()
 
-        # "New process": in-process caches gone, only the store remains —
-        # and pretraining must not run when every finetune cell is stored.
-        clear_transfer_cache()
+        # A new store handle, and no driver may run: every cell is stored.
+        def no_driver(*args, **kwargs):
+            raise AssertionError("a driver ran despite a full store")
 
-        def no_pretrain(*args, **kwargs):
-            raise AssertionError("pretrain_weights ran despite a full store")
-
-        monkeypatch.setattr(transfer, "pretrain_weights", no_pretrain)
+        monkeypatch.setattr(runner_module, "OptimizationDriver", no_driver)
         with open_run_store("sqlite", tmp_path / "store") as store:
-            second = technology_transfer_experiment("two_tia", settings, store=store)
-        for target in settings.transfer_targets:
-            for ours, theirs in zip(
-                second.transfer[target] + second.no_transfer[target],
-                first.transfer[target] + first.no_transfer[target],
-            ):
-                assert ours.best_reward == theirs.best_reward
-                assert ours.rewards == [float(r) for r in theirs.rewards]
-        clear_transfer_cache()
+            assert table4_technology_transfer(settings, store=store).render() == first
 
     def test_progress_callback_outcomes(self, tmp_path):
         outcomes = []
