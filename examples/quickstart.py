@@ -115,8 +115,6 @@ def main() -> None:
     #    completed run in a RunStore under its canonical key, and skips cells
     #    already present — so a killed sweep resumes exactly where it stopped
     #    (re-run with the same --store-dir to see everything skipped).
-    store_dir = args.store_dir or tempfile.mkdtemp(prefix="repro-quickstart-")
-    store = open_run_store("sqlite", store_dir)
     spec = CampaignSpec(
         methods=["human", "random"],
         circuits=[args.circuit],
@@ -124,13 +122,17 @@ def main() -> None:
         seeds=2,
         steps=20,
     )
-    campaign = Campaign(spec, store)
-    print(f"\nCampaign sweep into {store_dir}:")
-    print("  " + campaign.run().summary())
-    print("  " + campaign.run().summary() + "  <- resumed: nothing re-executed")
-    best = max(store.query(circuit=args.circuit), key=lambda r: r.best_reward)
-    print(f"  best stored run: {best.method} (FoM {best.best_reward:.3f})")
-    store.close()
+    # Without --store-dir the sweep goes to a temporary directory, removed
+    # at the end (after the store is closed).
+    with tempfile.TemporaryDirectory(prefix="repro-quickstart-") as scratch:
+        store_dir = args.store_dir or scratch
+        with open_run_store("sqlite", store_dir) as store:
+            campaign = Campaign(spec, store)
+            print(f"\nCampaign sweep into {store_dir}:")
+            print("  " + campaign.run().summary())
+            print("  " + campaign.run().summary() + "  <- resumed: nothing re-executed")
+            best = max(store.query(circuit=args.circuit), key=lambda r: r.best_reward)
+            print(f"  best stored run: {best.method} (FoM {best.best_reward:.3f})")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ flattens per-component dictionaries into vectors for the black-box baselines.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -153,6 +154,41 @@ class ParameterSpace:
     def component_definitions(self, component: str) -> List[ParameterDef]:
         """Parameter definitions of a single component."""
         return list(self._defs_by_component[component])
+
+    def check_sizing(self, sizing: Mapping[str, Mapping[str, float]]) -> None:
+        """Raise ``ValueError`` unless ``sizing`` can be simulated here.
+
+        It must name exactly this space's components, each component
+        exactly its parameters, and every value must be a finite, positive
+        real number (not a bool or a string).  The parameter box is not
+        checked: hand-written designs may leave it (the LDO's expert
+        ``T7.l`` is below the 180 nm floor at 65 nm and 45 nm).
+        """
+        expected = set(self._defs_by_component)
+        given = set(sizing) if isinstance(sizing, Mapping) else set()
+        if given != expected:
+            raise ValueError(
+                f"sizing components differ: missing {sorted(expected - given)}, "
+                f"unexpected {sorted(map(str, given - expected))}"
+            )
+        for component, defs in self._defs_by_component.items():
+            params = sizing[component]
+            names = {definition.name for definition in defs}
+            if not isinstance(params, Mapping) or set(params) != names:
+                raise ValueError(
+                    f"{component} must name exactly the parameters {sorted(names)}"
+                )
+            for name, value in params.items():
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)
+                    or value <= 0
+                ):
+                    raise ValueError(
+                        f"{component}.{name} must be a finite positive number, "
+                        f"got {value!r}"
+                    )
 
     # --- vector <-> sizing ---------------------------------------------------------
     def vector_to_sizing(self, vector: Sequence[float]) -> Sizing:

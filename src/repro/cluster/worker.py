@@ -33,6 +33,7 @@ Shutdown paths, in decreasing order of grace:
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ from repro.cluster.leases import (
     make_owner_id,
 )
 from repro.cluster.scheduler import Assignment, WorkScheduler
+from repro.resilience import RetryPolicy, classify_exception
 from repro.store.base import RunKey
 from repro.store.campaign import Campaign
 
@@ -189,13 +191,14 @@ class CampaignWorker:
             the worst-case re-simulation a steal pays.  1 = maximal safety.
         poll_interval: Sleep between scheduler scans when every remaining
             cell is under a live lease.
-        cell_retries: Attempts per cell before it is quarantined.  A cell
-            whose execution raises (anything but a lost lease) is retried
-            in place with exponential backoff; once the budget is spent the
-            cell is marked poisoned in the store so no worker — this one or
-            a future one — livelocks the sweep re-running it.
-        retry_backoff_s: Base backoff between cell attempts; doubles per
-            attempt.  Interruptible by :meth:`request_stop`.
+        retry: Attempts per cell and the backoff between them (default
+            :class:`~repro.resilience.RetryPolicy`: 3 attempts).  A cell
+            whose execution raises anything but a lost lease is retried in
+            place whatever the failure kind (a transient store error such as
+            ``sqlite3.OperationalError`` is untagged); once the budget is
+            spent the cell is marked poisoned in the store so no worker —
+            this one or a future one — livelocks the sweep re-running it.
+            The backoff wait is interruptible by :meth:`request_stop`.
         progress: Optional ``callback(assignment, outcome)`` with outcome
             in ``{"executed", "skipped", "paused", "lost", "quarantined"}``.
         step_callbacks: Extra per-step driver callbacks, forwarded to
@@ -215,14 +218,11 @@ class CampaignWorker:
         heartbeat_interval: Optional[float] = None,
         checkpoint_every: int = 1,
         poll_interval: float = 0.5,
-        cell_retries: int = 3,
-        retry_backoff_s: float = 0.05,
+        retry: Optional[RetryPolicy] = None,
         progress: Optional[Callable[[Assignment, str], None]] = None,
         step_callbacks: Sequence[Callable] = (),
         evaluator=None,
     ):
-        if cell_retries < 1:
-            raise ValueError(f"cell_retries must be >= 1, got {cell_retries}")
         self.campaign = campaign
         # A lease store handed in belongs to the caller; one opened here
         # (a second SQLite connection) is closed when run() returns.
@@ -235,8 +235,8 @@ class CampaignWorker:
         self.heartbeat_interval = heartbeat_interval
         self.checkpoint_every = int(checkpoint_every)
         self.poll_interval = float(poll_interval)
-        self.cell_retries = int(cell_retries)
-        self.retry_backoff_s = float(retry_backoff_s)
+        self.retry = retry if retry is not None else RetryPolicy()
+        self._rng = random.Random()  # backoff jitter only
         self.progress = progress
         self.step_callbacks = list(step_callbacks)
         self.scheduler = WorkScheduler(
@@ -344,7 +344,7 @@ class CampaignWorker:
         failure: Optional[BaseException] = None
         attempts = 0
         try:
-            for attempt in range(1, self.cell_retries + 1):
+            for attempt in range(1, self.retry.max_attempts + 1):
                 attempts = attempt
                 try:
                     record = run_method(
@@ -377,12 +377,12 @@ class CampaignWorker:
                     return
                 except Exception as error:
                     failure = error
-                    if attempt < self.cell_retries:
+                    if attempt < self.retry.max_attempts:
                         # Interruptible backoff: request_stop() shortcuts
                         # the wait and the remaining attempts run (and, if
                         # the fault is persistent, fail) back to back.
                         self._stop.wait(
-                            self.retry_backoff_s * (2 ** (attempt - 1))
+                            self.retry.backoff_delay(attempt, self._rng)
                         )
         finally:
             heartbeat.stop()
@@ -391,8 +391,6 @@ class CampaignWorker:
             # Retry budget spent: the cell is poisoned.  Record the
             # taxonomy in the store so schedulers (ours and every other
             # worker's) stop handing it out, then free the lease.
-            from repro.resilience import classify_exception
-
             self.campaign.store.put_quarantine(
                 key,
                 {

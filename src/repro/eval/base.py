@@ -43,8 +43,7 @@ class ThreadSafeCounters:
     """Mixin giving a stats dataclass a mutation lock.
 
     Stats objects are shared across threads — the coalescer flushes batches
-    via ``asyncio.to_thread``, resilient evaluation runs attempts under
-    deadline-watcher threads, campaign workers share one evaluator — so
+    via ``asyncio.to_thread``, campaign workers share one evaluator — so
     read-modify-write counter updates (``stats.x += 1``) race without a
     guard.  Mutation sites hold ``with stats.lock:``; snapshot methods
     (``to_dict``) take the same lock so a reader never sees a torn batch of

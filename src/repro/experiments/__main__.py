@@ -171,6 +171,7 @@ def _worker(settings: ExperimentSettings, store: Optional[RunStore], args) -> No
     import signal
 
     from repro.cluster import CampaignWorker, make_owner_id
+    from repro.resilience import RetryPolicy
 
     if store is None:
         print("no store configured (use --store-dir)")
@@ -183,7 +184,7 @@ def _worker(settings: ExperimentSettings, store: Optional[RunStore], args) -> No
         ttl=args.ttl,
         checkpoint_every=1 if args.checkpoint_every is None else args.checkpoint_every,
         poll_interval=args.poll,
-        cell_retries=args.cell_retries,
+        retry=RetryPolicy(max_attempts=args.cell_retries),
         progress=lambda assignment, outcome: print(
             f"  [{outcome:>8s}] {assignment.request.method} "
             f"{assignment.request.circuit} {assignment.request.technology} "

@@ -1,10 +1,10 @@
-"""Resilience layer: failure taxonomy, retries, chaos, quarantine.
+"""Resilience layer: failure taxonomy, validation, retries, chaos, quarantine.
 
-The production failure semantics the rest of the stack builds on: per-
-request :data:`EvalOutcome` resolution instead of batch-wide raising,
-bounded retries with backoff, split-on-failure bisection, per-bucket
-circuit breaking, poison-design quarantine, and a deterministic fault-
-injection harness to prove all of it under chaos.
+The failure semantics the rest of the stack builds on, sized for a
+deterministic engine: per-request :data:`EvalOutcome` resolution instead
+of batch-wide raising, validation before simulation, split-on-failure
+bisection, retries with backoff for the kinds a retry can fix, poison-design
+quarantine, and a deterministic fault-injection harness to prove it all.
 """
 
 from repro.resilience.chaos import (
@@ -23,13 +23,12 @@ from repro.resilience.failures import (
     classify_exception,
     is_nonconverged,
 )
-from repro.resilience.policy import NO_RETRY, RetryPolicy
+from repro.resilience.policy import RetryPolicy
 from repro.resilience.resilient import ResilienceStats, ResilientEvaluator
 
 __all__ = [
     "FAILURE_KINDS",
     "FAULT_TYPES",
-    "NO_RETRY",
     "RETRYABLE_KINDS",
     "EvalFailure",
     "EvalFailureError",

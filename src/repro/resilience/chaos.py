@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.eval.base import EvalRequest, EvalResult, Evaluator, EvaluatorStats
@@ -58,13 +57,10 @@ class FaultInjectingEvaluator(Evaluator):
             wrapper's job, not the harness's.
         nan_rate: Fraction of designs whose metrics are replaced by NaN.
         timeout_rate: Fraction of designs that raise
-            :class:`~repro.resilience.failures.EvalTimeoutError` (after an
-            optional ``timeout_sleep_s`` stall).
+            :class:`~repro.resilience.failures.EvalTimeoutError`.
         crash_rate: Fraction of designs that raise :class:`InjectedCrash`.
         transient_attempts: Number of attempts each poisoned design fails
             before recovering; 0 means faults are permanent.
-        timeout_sleep_s: Real seconds a timeout fault stalls before
-            raising (keep 0 in tests).
         predicate: Optional targeted override: ``predicate(request)``
             returns a fault type from :data:`FAULT_TYPES` (poisoned) or
             ``None`` (fall back to the seeded rates).  Lets tests poison
@@ -80,7 +76,6 @@ class FaultInjectingEvaluator(Evaluator):
         timeout_rate: float = 0.0,
         crash_rate: float = 0.0,
         transient_attempts: int = 0,
-        timeout_sleep_s: float = 0.0,
         predicate: Optional[Callable[[EvalRequest], Optional[str]]] = None,
     ):
         total = error_rate + nan_rate + timeout_rate + crash_rate
@@ -105,14 +100,13 @@ class FaultInjectingEvaluator(Evaluator):
         self.timeout_rate = float(timeout_rate)
         self.crash_rate = float(crash_rate)
         self.transient_attempts = int(transient_attempts)
-        self.timeout_sleep_s = float(timeout_sleep_s)
         self.predicate = predicate
         #: Faulted attempts spent per design key (transience accounting).
         self._attempts: Dict[object, int] = {}
         #: Injection counters by fault type.
         self.injected: Dict[str, int] = {name: 0 for name in FAULT_TYPES}
         # Guards attempt/injection accounting: faults fire inside whatever
-        # thread runs the evaluation (retry watchers, coalescer flushes).
+        # thread runs the evaluation (coalescer flushes, campaign workers).
         self._chaos_lock = threading.Lock()
 
     @property
@@ -185,8 +179,6 @@ class FaultInjectingEvaluator(Evaluator):
                 f"{request.technology}"
             )
         if fault == "timeout":
-            if self.timeout_sleep_s > 0:
-                time.sleep(self.timeout_sleep_s)
             raise EvalTimeoutError(
                 f"injected timeout for {request.circuit}/"
                 f"{request.technology}"

@@ -29,23 +29,28 @@ from typing import Dict, Union
 
 from repro.eval.base import EvalRequest, EvalResult
 
-#: The closed set of failure classes.  ``nonconvergence`` is deterministic
-#: (re-simulating the same design reproduces it) and therefore never
-#: retried; every other kind is presumed transient.
+#: The closed set of failure classes.  ``invalid_request`` is a request the
+#: wrapper refused before any simulation (unknown circuit or technology, or
+#: a sizing its parameter space rejects).
 FAILURE_KINDS = (
     "nonconvergence",
     "timeout",
     "simulator_error",
     "worker_crash",
     "injected",
+    "invalid_request",
 )
 
-#: Failure kinds a retry may plausibly fix.
-RETRYABLE_KINDS = frozenset(FAILURE_KINDS) - {"nonconvergence"}
+#: Failure kinds a retry may plausibly fix.  The engine is deterministic
+#: numpy code, so NaN metrics (``nonconvergence``), an untagged engine
+#: exception (``simulator_error``) and a refused request reproduce on every
+#: attempt; only timeouts, worker crashes and injected chaos faults are
+#: presumed transient.
+RETRYABLE_KINDS = frozenset({"timeout", "worker_crash", "injected"})
 
 
 class EvalTimeoutError(RuntimeError):
-    """An evaluation attempt exceeded its per-request deadline."""
+    """An evaluation attempt timed out (the chaos harness's ``timeout`` fault)."""
 
     failure_kind = "timeout"
 
@@ -109,8 +114,8 @@ class EvalFailureError(RuntimeError):
         )
         self.failure = failure
         # Self-classify so an EvalFailureError re-entering
-        # classify_exception() keeps its kind (a nonconvergence must not
-        # degrade to the retryable catch-all ``simulator_error``).
+        # classify_exception() keeps its kind (an injected fault must stay
+        # retryable, not degrade to the catch-all ``simulator_error``).
         self.failure_kind = failure.kind
 
 

@@ -1,30 +1,26 @@
-"""The resilient evaluation wrapper: isolate, retry, degrade, quarantine.
+"""The resilient evaluation wrapper: validate, isolate, retry, quarantine.
 
 :class:`ResilientEvaluator` turns any evaluator's all-or-nothing
 ``evaluate_requests`` into per-request :data:`~repro.resilience.failures.EvalOutcome`
-resolution with production failure semantics:
+resolution, sized for a deterministic engine (a failure that is not
+injected reproduces on every attempt):
 
-* **Zero fast-path overhead** — a clean batch is exactly one inner call
-  (identical to the unwrapped evaluator) plus a NaN scan; no threads, no
-  copies, no extra bookkeeping on success.
-* **Split-on-failure bisection** — when a batch raises, requests are
-  regrouped by bucket and each bucket bisected: a single poisoned design
-  degrades *its bucket* from vectorized to serial, the other buckets and
-  the other halves keep their stacked solves.
-* **Bounded retries with backoff + jitter** — single-request failures are
-  retried per the :class:`~repro.resilience.policy.RetryPolicy`;
-  deterministic failures (``nonconvergence``) are never retried.
-* **Quarantine** — a request that exhausts its retries is remembered (by
-  canonical design key, LRU-bounded) and fails fast on resubmission,
-  so a poison design can never re-trigger bisection storms.
-* **Per-bucket circuit breaker** — ``breaker_threshold`` consecutive
-  failed *group* attempts trip a bucket to the per-request serial path for
-  ``breaker_cooldown`` bucket-calls, then a half-open probe re-tries the
-  grouped path.  Counts bucket-calls, not wall-clock, so behaviour is
-  deterministic under test.
-* **Per-attempt deadlines** — when the policy sets ``deadline_s``, each
-  inner attempt runs under a watcher thread and is abandoned (classified
-  ``timeout``) past the deadline.
+* **Validation at the boundary** — a request naming an unknown circuit or
+  technology, or whose sizing fails
+  :meth:`~repro.circuits.parameters.ParameterSpace.check_sizing`, is
+  ``invalid_request`` after zero attempts: it joins no stacked batch and
+  is never retried or quarantined.
+* **One inner call for a clean batch**, plus the validation and a NaN scan.
+* **Split-on-failure bisection** — when a batch raises, each bucket is
+  bisected, so a poisoned design fails alone while the rest keep their
+  stacked solves.
+* **Retries for transient kinds only** — an isolated failure whose kind is
+  in :data:`~repro.resilience.failures.RETRYABLE_KINDS` (timeouts, worker
+  crashes, injected chaos faults) is retried per the
+  :class:`~repro.resilience.policy.RetryPolicy`; an untagged engine
+  exception (``simulator_error``) fails after one attempt.
+* **Quarantine** — a design that failed is remembered by canonical key
+  (LRU-bounded) and fails fast on resubmission, never bisecting again.
 
 Wrap *outside* any cache (``ResilientEvaluator(CachingEvaluator(...))``)
 so failures are never cached, and outside the chaos harness so injected
@@ -37,9 +33,11 @@ import random
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.circuits.library import get_circuit
+from repro.circuits.parameters import ParameterSpace
 from repro.eval.base import (
     EvalRequest,
     EvalResult,
@@ -49,10 +47,10 @@ from repro.eval.base import (
 )
 from repro.eval.caching import request_cache_key
 from repro.resilience.failures import (
+    RETRYABLE_KINDS,
     EvalFailure,
     EvalFailureError,
     EvalOutcome,
-    EvalTimeoutError,
     classify_exception,
     is_nonconverged,
 )
@@ -64,12 +62,12 @@ class ResilienceStats(ThreadSafeCounters):
     """Counters of the wrapper's recovery activity (all zero on clean runs).
 
     Attributes:
-        failures: Terminal :class:`EvalFailure` outcomes produced.
+        failures: Terminal :class:`EvalFailure` outcomes produced
+            (refused invalid requests included).
         retries: Extra attempts spent beyond each request's first.
         bisections: Failed group attempts that were split in half.
         serial_downgrades: Requests resolved on the per-request serial
-            path (after bisection bottomed out or through an open breaker).
-        breaker_trips: Times a bucket breaker opened.
+            path (after bisection bottomed out).
         quarantined: Requests added to the quarantine.
         quarantine_hits: Requests failed fast because their design was
             already quarantined.
@@ -79,7 +77,6 @@ class ResilienceStats(ThreadSafeCounters):
     retries: int = 0
     bisections: int = 0
     serial_downgrades: int = 0
-    breaker_trips: int = 0
     quarantined: int = 0
     quarantine_hits: int = 0
 
@@ -90,56 +87,19 @@ class ResilienceStats(ThreadSafeCounters):
                 "retries": self.retries,
                 "bisections": self.bisections,
                 "serial_downgrades": self.serial_downgrades,
-                "breaker_trips": self.breaker_trips,
                 "quarantined": self.quarantined,
                 "quarantine_hits": self.quarantine_hits,
             }
 
 
-@dataclass
-class _BucketBreaker:
-    """Count-based circuit breaker for one (circuit, technology) bucket."""
-
-    threshold: int
-    cooldown: int
-    consecutive_failures: int = 0
-    cooldown_remaining: int = 0
-
-    @property
-    def open(self) -> bool:
-        return self.cooldown_remaining > 0
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-
-    def record_failure(self) -> bool:
-        """Record one failed group attempt; True when the breaker trips."""
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= self.threshold:
-            self.cooldown_remaining = self.cooldown
-            # Leave the count one short of the threshold: a failed
-            # half-open probe after the cooldown re-trips immediately.
-            self.consecutive_failures = self.threshold - 1
-            return True
-        return False
-
-    def tick(self) -> None:
-        """One bucket-call served while open (cooldown countdown)."""
-        if self.cooldown_remaining > 0:
-            self.cooldown_remaining -= 1
-
-
 class ResilientEvaluator(Evaluator):
-    """Per-request failure isolation around any :class:`Evaluator`.
+    """Per-request validation and failure isolation around any :class:`Evaluator`.
 
     Args:
         inner: The evaluator doing the actual work (wrap caches inside,
             never outside, so failures are not cached).
-        policy: Retry/backoff/deadline policy (see :class:`RetryPolicy`).
-        breaker_threshold: Consecutive failed group attempts per bucket
-            before the breaker opens.
-        breaker_cooldown: Bucket-calls the breaker stays open (serial
-            path) before a half-open grouped probe.
+        policy: Attempts and backoff for retryable failure kinds (see
+            :class:`RetryPolicy`).
         quarantine_size: Max quarantined design keys kept (LRU).
         seed: Seed for backoff jitter (determinism under test).
         sleep: Injection point for backoff waits (tests pass a recorder).
@@ -149,16 +109,10 @@ class ResilientEvaluator(Evaluator):
         self,
         inner: Evaluator,
         policy: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 8,
         quarantine_size: int = 1024,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
         if quarantine_size < 1:
             raise ValueError(
                 f"quarantine_size must be >= 1, got {quarantine_size}"
@@ -167,8 +121,6 @@ class ResilientEvaluator(Evaluator):
         self._circuit = inner._circuit
         self._circuits = inner._circuits
         self.policy = policy if policy is not None else RetryPolicy()
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = int(breaker_cooldown)
         self.quarantine_size = int(quarantine_size)
         self._sleep = sleep
         self._rng = random.Random(seed)
@@ -177,7 +129,8 @@ class ResilientEvaluator(Evaluator):
         # Protects the quarantine LRU: evaluate paths run inside coalescer
         # flush threads while snapshots/clears arrive from other threads.
         self._quarantine_lock = threading.Lock()
-        self._breakers: Dict[Tuple[str, str], _BucketBreaker] = {}
+        #: Parameter space per bucket, resolved on the bucket's first request.
+        self._spaces: Dict[Tuple[str, str], ParameterSpace] = {}
 
     # --- plumbing -----------------------------------------------------------------
     @property
@@ -216,48 +169,22 @@ class ResilientEvaluator(Evaluator):
         with self.rstats.lock:
             self.rstats.quarantined += 1
 
-    # --- breaker ------------------------------------------------------------------
-    def _breaker(self, bucket: Tuple[str, str]) -> _BucketBreaker:
-        breaker = self._breakers.get(bucket)
-        if breaker is None:
-            breaker = _BucketBreaker(
-                self.breaker_threshold, self.breaker_cooldown
-            )
-            self._breakers[bucket] = breaker
-        return breaker
-
-    def breaker_open(self, bucket: Tuple[str, str]) -> bool:
-        """Whether ``bucket`` is currently degraded to the serial path."""
-        breaker = self._breakers.get(bucket)
-        return breaker is not None and breaker.open
-
-    # --- attempts -----------------------------------------------------------------
-    def _attempt(self, requests: Sequence[EvalRequest]) -> List[EvalResult]:
-        """One inner attempt, under the policy deadline when one is set."""
-        deadline = self.policy.deadline_s
-        if deadline is None:
-            return self.inner.evaluate_requests(requests)
-        box: Dict[str, object] = {}
-
-        def target() -> None:
-            try:
-                box["result"] = self.inner.evaluate_requests(requests)
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                box["error"] = error
-
-        watcher = threading.Thread(target=target, daemon=True)
-        watcher.start()
-        watcher.join(deadline)
-        if watcher.is_alive():
-            # The attempt is abandoned, not cancelled: the thread finishes
-            # (or hangs) on its own and its result is discarded.
-            raise EvalTimeoutError(
-                f"evaluation of {len(requests)} request(s) exceeded the "
-                f"{deadline}s deadline"
-            )
-        if "error" in box:
-            raise box["error"]  # type: ignore[misc]
-        return box["result"]  # type: ignore[return-value]
+    # --- validation ---------------------------------------------------------------
+    def _invalid(self, request: EvalRequest) -> Optional[str]:
+        """Why ``request`` cannot be simulated, or ``None`` when it can."""
+        try:
+            space = self._spaces.get(request.bucket)
+            if space is None:
+                circuit = self._circuits.get(request.bucket)
+                if circuit is None:
+                    circuit = get_circuit(request.circuit, request.technology)
+                space = self._spaces.setdefault(
+                    request.bucket, circuit.parameter_space
+                )
+            space.check_sizing(request.sizing)
+        except (KeyError, ValueError) as error:
+            return error.args[0] if error.args else type(error).__name__
+        return None
 
     # --- resolution ---------------------------------------------------------------
     def evaluate_outcomes(
@@ -270,48 +197,43 @@ class ResilientEvaluator(Evaluator):
 
         live: List[int] = []
         for index, request in enumerate(requests):
-            key = request_cache_key(request)
-            with self._quarantine_lock:
-                known = self._quarantine.get(key)
-                if known is not None:
-                    self._quarantine.move_to_end(key)
-            if known is not None:
+            # Validate first: the quarantine key needs numeric values.
+            problem = self._invalid(request)
+            if problem is not None:
+                kind, message = "invalid_request", f"invalid request: {problem}"
+            else:
+                key = request_cache_key(request)
+                with self._quarantine_lock:
+                    known = self._quarantine.get(key)
+                    if known is not None:
+                        self._quarantine.move_to_end(key)
+                if known is None:
+                    live.append(index)
+                    continue
+                kind, message = known.kind, f"quarantined: {known.message}"
                 with self.rstats.lock:
                     self.rstats.quarantine_hits += 1
-                    self.rstats.failures += 1
-                outcomes[index] = EvalFailure(
-                    request=request,
-                    kind=known.kind,
-                    message=f"quarantined: {known.message}",
-                    attempts=0,
-                )
-            else:
-                live.append(index)
+            with self.rstats.lock:
+                self.rstats.failures += 1
+            outcomes[index] = EvalFailure(
+                request=request, kind=kind, message=message, attempts=0
+            )
 
-        grouped = [
-            i for i in live if not self.breaker_open(requests[i].bucket)
-        ]
-        broken = [i for i in live if self.breaker_open(requests[i].bucket)]
-
-        if grouped:
-            sub = [requests[i] for i in grouped]
+        if live:
             try:
-                results = self._attempt(sub)
+                results = self.inner.evaluate_requests(
+                    [requests[i] for i in live]
+                )
             except Exception:
-                self._resolve_failed_group(requests, outcomes, grouped)
+                # Isolate per bucket, then bisect each bucket.
+                by_bucket: Dict[Tuple[str, str], List[int]] = {}
+                for index in live:
+                    by_bucket.setdefault(requests[index].bucket, []).append(index)
+                for indices in by_bucket.values():
+                    self._resolve_bucket(requests, outcomes, indices)
             else:
-                for bucket in {r.bucket for r in sub}:
-                    self._breaker(bucket).record_success()
-                for index, result in zip(grouped, results):
+                for index, result in zip(live, results):
                     outcomes[index] = self._accept(requests[index], result, 1)
-
-        if broken:
-            for bucket in {requests[i].bucket for i in broken}:
-                self._breaker(bucket).tick()
-            for index in broken:
-                with self.rstats.lock:
-                    self.rstats.serial_downgrades += 1
-                outcomes[index] = self._resolve_single(requests[index])
 
         return outcomes  # type: ignore[return-value]
 
@@ -342,25 +264,6 @@ class ResilientEvaluator(Evaluator):
             return failure
         return result
 
-    def _resolve_failed_group(
-        self,
-        requests: Sequence[EvalRequest],
-        outcomes: List[Optional[EvalOutcome]],
-        indices: List[int],
-    ) -> None:
-        """A mixed group attempt raised: isolate per bucket, then bisect."""
-        by_bucket: Dict[Tuple[str, str], List[int]] = {}
-        for index in indices:
-            by_bucket.setdefault(requests[index].bucket, []).append(index)
-        for bucket, bucket_indices in by_bucket.items():
-            # One breaker count per bucket per top-level failure — the
-            # log2(n) bisection attempts below are part of the same event.
-            breaker = self._breaker(bucket)
-            if breaker.record_failure():
-                with self.rstats.lock:
-                    self.rstats.breaker_trips += 1
-            self._resolve_bucket(requests, outcomes, bucket_indices)
-
     def _resolve_bucket(
         self,
         requests: Sequence[EvalRequest],
@@ -373,9 +276,8 @@ class ResilientEvaluator(Evaluator):
                 self.rstats.serial_downgrades += 1
             outcomes[indices[0]] = self._resolve_single(requests[indices[0]])
             return
-        sub = [requests[i] for i in indices]
         try:
-            results = self._attempt(sub)
+            results = self.inner.evaluate_requests([requests[i] for i in indices])
         except Exception:
             with self.rstats.lock:
                 self.rstats.bisections += 1
@@ -387,23 +289,19 @@ class ResilientEvaluator(Evaluator):
             outcomes[index] = self._accept(requests[index], result, 1)
 
     def _resolve_single(self, request: EvalRequest) -> EvalOutcome:
-        """One request on the serial path: bounded retries with backoff."""
-        attempts = 0
-        failure: Optional[EvalFailure] = None
-        while attempts < self.policy.max_attempts:
-            attempts += 1
-            if attempts > 1:
-                with self.rstats.lock:
-                    self.rstats.retries += 1
+        """One isolated request, retried with backoff while its failure
+        kind is retryable; a terminal failure is quarantined."""
+        attempts = 1
+        while True:
             try:
-                result = self._attempt([request])[0]
+                result = self.inner.evaluate_requests([request])[0]
             except Exception as error:  # noqa: BLE001 - classified below
                 kind = classify_exception(error)
-                if (
-                    self.policy.retryable(kind)
-                    and attempts < self.policy.max_attempts
-                ):
+                if kind in RETRYABLE_KINDS and attempts < self.policy.max_attempts:
                     self._sleep(self.policy.backoff_delay(attempts, self._rng))
+                    attempts += 1
+                    with self.rstats.lock:
+                        self.rstats.retries += 1
                     continue
                 failure = EvalFailure(
                     request=request,
@@ -411,13 +309,8 @@ class ResilientEvaluator(Evaluator):
                     message=str(error),
                     attempts=attempts,
                 )
-                break
-            outcome = self._accept(request, result, attempts)
-            if isinstance(outcome, EvalFailure):
-                return outcome  # _accept already counted and quarantined
-            return outcome
-        assert failure is not None
-        with self.rstats.lock:
-            self.rstats.failures += 1
-        self._quarantine_put(request_cache_key(request), failure)
-        return failure
+                with self.rstats.lock:
+                    self.rstats.failures += 1
+                self._quarantine_put(request_cache_key(request), failure)
+                return failure
+            return self._accept(request, result, attempts)

@@ -146,9 +146,11 @@ class BatchCoalescer:
         max_pending: Admission-control bound on queued designs; a submit
             that would overflow it is rejected with a retryable
             :class:`OverloadedError` (0 = unbounded).
-        retry_policy: Retry/backoff/deadline policy of the resilient
-            wrapper around the shared evaluator (default
-            :class:`~repro.resilience.RetryPolicy`).
+        retry_policy: Retry/backoff policy of the resilient wrapper
+            around the shared evaluator (default
+            :class:`~repro.resilience.RetryPolicy`).  The wrapper also
+            validates every design, so a malformed sizing fails as
+            ``invalid_request`` without being simulated.
         chaos: Optional :class:`~repro.resilience.FaultInjectingEvaluator`
             kwargs (``seed``, ``error_rate``, ...).  When given, the chaos
             harness is wrapped *between* the resilient layer and the
@@ -223,18 +225,25 @@ class BatchCoalescer:
             )
         loop = asyncio.get_running_loop()
         bucket = (circuit_name.lower(), technology)
-        if bucket not in self._seen:
-            # Fail unknown circuit/technology pairs fast, before they queue.
-            get_circuit(circuit_name, technology)
-            self._seen.add(bucket)
+        requests = [EvalRequest(circuit_name, technology, s) for s in sizings]
+        try:
+            if bucket not in self._seen:
+                # Fail unknown circuit/technology pairs fast, before they queue.
+                get_circuit(circuit_name, technology)
+                self._seen.add(bucket)
+            # So does a value the dedup key cannot read as a number; the
+            # resilient wrapper refuses every other malformed sizing.
+            keys = [request_cache_key(request) for request in requests]
+        except (KeyError, TypeError, ValueError) as error:
+            raise EvaluationError(
+                f"invalid request: {error.args[0]}", kind="invalid_request"
+            ) from None
         with self.stats.lock:
             self.stats.requests += 1
             self.stats.designs_submitted += len(sizings)
 
         waiters: List[Tuple[Sizing, asyncio.Future, bool]] = []
-        for sizing in sizings:
-            request = EvalRequest(circuit_name, technology, sizing)
-            key = request_cache_key(request)
+        for sizing, request, key in zip(sizings, requests, keys):
             future = self._inflight.get(key)
             if future is not None:
                 with self.stats.lock:

@@ -13,8 +13,8 @@ Environment overrides (each beaten by the matching CLI flag):
 * ``REPRO_SERVE_CHECKPOINT_EVERY`` — driver steps between run checkpoints.
 * ``REPRO_SERVE_CACHE`` — per-bucket LRU design-cache capacity.
 * ``REPRO_SERVE_MAX_PENDING`` — admission-control bound on queued designs.
-* ``REPRO_SERVE_EVAL_ATTEMPTS`` / ``REPRO_SERVE_EVAL_DEADLINE`` — retry
-  and per-attempt deadline policy of the resilient evaluation wrapper.
+* ``REPRO_SERVE_EVAL_ATTEMPTS`` — attempts per design for the failure
+  kinds a retry can fix (injected faults, timeouts, worker crashes).
 * ``REPRO_SERVE_CHAOS_RATE`` / ``REPRO_SERVE_CHAOS_SEED`` /
   ``REPRO_SERVE_CHAOS_TRANSIENT`` — seeded fault injection (chaos testing
   against a live server; 0 rate = off).
@@ -62,11 +62,8 @@ class ServiceConfig:
         max_pending: Admission-control bound on queued designs; a submit
             that would overflow it gets a retryable ``overloaded`` error
             (0 = unbounded).
-        eval_attempts: Evaluation attempts per design before its failure
-            is terminal (1 = no retry).
-        eval_deadline_s: Per-attempt evaluation deadline in seconds
-            (0 = unlimited; the default, because enforcement costs a
-            watcher thread per attempt).
+        eval_attempts: Evaluation attempts per design before a retryable
+            failure is terminal (1 = no retry).
         chaos_rate: Fraction of designs the chaos harness poisons with
             injected simulator faults (0 disables injection entirely).
         chaos_seed: Seed of the deterministic fault-injection decisions.
@@ -99,9 +96,6 @@ class ServiceConfig:
     )
     eval_attempts: int = field(
         default_factory=lambda: _env_int("REPRO_SERVE_EVAL_ATTEMPTS", 3, 1)
-    )
-    eval_deadline_s: float = field(
-        default_factory=lambda: _env_float("REPRO_SERVE_EVAL_DEADLINE", 0.0)
     )
     chaos_rate: float = field(
         default_factory=lambda: _env_float("REPRO_SERVE_CHAOS_RATE", 0.0)
@@ -137,10 +131,6 @@ class ServiceConfig:
             raise ValueError(
                 f"eval_attempts must be >= 1, got {self.eval_attempts}"
             )
-        if self.eval_deadline_s < 0:
-            raise ValueError(
-                f"eval_deadline_s must be >= 0, got {self.eval_deadline_s}"
-            )
         if not (0.0 <= self.chaos_rate <= 1.0):
             raise ValueError(
                 f"chaos_rate must be in [0, 1], got {self.chaos_rate}"
@@ -151,11 +141,8 @@ class ServiceConfig:
             )
 
     def retry_policy(self) -> RetryPolicy:
-        """The retry/deadline policy of the coalescer's resilient wrapper."""
-        return RetryPolicy(
-            max_attempts=self.eval_attempts,
-            deadline_s=self.eval_deadline_s or None,
-        )
+        """The retry policy of the coalescer's resilient wrapper."""
+        return RetryPolicy(max_attempts=self.eval_attempts)
 
     def chaos_config(self) -> Optional[Dict[str, Any]]:
         """Fault-injection kwargs for the coalescer (``None`` = chaos off)."""

@@ -36,7 +36,6 @@ from repro.eval import EvaluatorConfig
 from repro.experiments.config import ExperimentSettings
 from repro.experiments.driver import DriverStep
 from repro.optim.registry import list_optimizers, unknown_method_message
-from repro.resilience import classify_exception
 from repro.store import Campaign, MemoryStore, RunKey, RunRequest, RunStore, open_run_store
 
 logger = logging.getLogger("repro.service")
@@ -252,7 +251,7 @@ class RunSupervisor:
                 campaign = _campaign_for(job.key, payload, store)
                 checkpoint_every = int(payload["checkpoint_every"])
             except (KeyError, TypeError, ValueError) as error:
-                info = {"kind": classify_exception(error), "message": str(error), "attempts": 0}
+                info = {"kind": "invalid_request", "message": str(error), "attempts": 0}
                 store.put_quarantine(job.key, info)
                 return
             with lease_store_for(store) as leases:

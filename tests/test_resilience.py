@@ -1,15 +1,15 @@
 """Chaos suite for the resilience layer (repro.resilience and friends).
 
 Covers the failure taxonomy, the deterministic fault-injection harness, the
-resilient evaluator (poison isolation via bisection, bounded retries,
-NaN→nonconvergence, per-attempt deadlines, quarantine fail-fast, the
-per-bucket circuit breaker), the service integration (per-client failure
-isolation in coalesced batches, admission control, taxonomy on the wire,
-client connection retry), and the cluster integration (heartbeat renew-error
-accounting, poison-cell quarantine that drains instead of livelocking, a
-campaign under injected faults finishing bit-identically to a fault-free
-reference, and corrupt checkpoint blobs restarting the cell on all three
-store backends).
+resilient evaluator (request validation, poison isolation via bisection,
+retries for transient kinds only, NaN→nonconvergence, quarantine
+fail-fast), the service integration (per-client failure isolation in
+coalesced batches, invalid sizings refused unsimulated, admission control,
+taxonomy on the wire, client connection retry), and the cluster integration
+(heartbeat renew-error accounting, poison-cell quarantine that drains
+instead of livelocking, a campaign under injected faults finishing
+bit-identically to a fault-free reference, and corrupt checkpoint blobs
+restarting the cell on both store backends).
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ import math
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.circuits import get_circuit
+from repro.circuits import get_circuit, list_circuits
 from repro.cluster import CampaignWorker, LeaseHeartbeat, cell_states, lease_store_for
 from repro.eval import (
     EvalRequest,
@@ -59,6 +61,7 @@ from repro.service import (
 )
 from repro.service.protocol import error_frame
 from repro.store import Campaign, CampaignSpec, MemoryStore, open_run_store
+from repro.technology import list_nodes
 
 STORE_BACKENDS = ("memory", "sqlite")
 
@@ -86,21 +89,27 @@ def _poison(targets):
     return predicate
 
 
-class SlowEvaluator(Evaluator):
-    """Wrapper that stalls every batch — deadline-enforcement fodder."""
+class RecordingEvaluator(Evaluator):
+    """Wrapper recording the size of every inner call; designs whose cache
+    key is in ``fail_keys`` make the whole call raise an untagged
+    ``RuntimeError``, like a solver bug would."""
 
-    def __init__(self, inner: Evaluator, delay_s: float):
+    def __init__(self, inner: Evaluator, fail_keys=()):
         self.inner = inner
         self._circuit = inner._circuit
         self._circuits = inner._circuits
-        self.delay_s = float(delay_s)
+        self.fail_keys = set(fail_keys)
+        self.calls = []
 
     @property
     def stats(self):
         return self.inner.stats
 
     def evaluate_requests(self, requests):
-        time.sleep(self.delay_s)
+        requests = list(requests)
+        self.calls.append(len(requests))
+        if any(request_cache_key(r) in self.fail_keys for r in requests):
+            raise RuntimeError("singular matrix in the stamped solve")
         return self.inner.evaluate_requests(requests)
 
     def peek(self, request):
@@ -137,7 +146,7 @@ class TestTaxonomy:
         ).retryable
         assert set(FAILURE_KINDS) == {
             "nonconvergence", "timeout", "simulator_error",
-            "worker_crash", "injected",
+            "worker_crash", "injected", "invalid_request",
         }
 
     def test_is_nonconverged_flags_nan_only(self):
@@ -279,19 +288,25 @@ class TestResilientEvaluator:
         assert resilient.rstats.retries == 0
         assert not isinstance(outcomes[1], EvalFailure)
 
-    def test_deadline_classifies_as_timeout(self):
-        request = _requests(1, seed=9)[0]
-        resilient = ResilientEvaluator(
-            SlowEvaluator(LocalEvaluator(), delay_s=5.0),
-            policy=RetryPolicy(
-                max_attempts=2, base_delay_s=0.0, jitter=0.0, deadline_s=0.05
-            ),
-            sleep=_no_sleep,
+    def test_untagged_engine_error_fails_once_after_isolation(self):
+        requests = _requests(8, seed=13)
+        reference = LocalEvaluator().evaluate_requests(requests)
+        inner = RecordingEvaluator(
+            LocalEvaluator(), fail_keys=[request_cache_key(requests[4])]
         )
-        outcome = resilient.evaluate_outcomes([request])[0]
-        assert isinstance(outcome, EvalFailure)
-        assert outcome.kind == "timeout" and outcome.attempts == 2
-        assert resilient.rstats.retries == 1
+        sleeps = []
+        resilient = ResilientEvaluator(inner, sleep=sleeps.append)
+        outcomes = resilient.evaluate_outcomes(requests)
+        failure = outcomes[4]
+        assert isinstance(failure, EvalFailure)
+        assert failure.kind == "simulator_error" and failure.attempts == 1
+        assert not failure.retryable and not failure.to_dict()["retryable"]
+        # A deterministic engine error reproduces: no retry, no backoff.
+        assert resilient.rstats.retries == 0 and sleeps == []
+        assert resilient.rstats.bisections >= 1
+        for index, outcome in enumerate(outcomes):
+            if index != 4:
+                assert outcome.metrics == reference[index].metrics
 
     def test_quarantine_fails_fast_on_resubmission(self):
         requests = _requests(2, seed=10)
@@ -317,41 +332,6 @@ class TestResilientEvaluator:
         resilient.clear_quarantine()
         assert resilient.quarantine == []
 
-    def test_breaker_trips_serial_cooldown_then_recovers(self):
-        poisoned = [True]
-        chaos = FaultInjectingEvaluator(
-            LocalEvaluator(),
-            predicate=lambda r: "error" if poisoned[0] else None,
-        )
-        resilient = ResilientEvaluator(
-            chaos,
-            policy=RetryPolicy(max_attempts=1, base_delay_s=0.0, jitter=0.0),
-            breaker_threshold=2,
-            breaker_cooldown=2,
-            sleep=_no_sleep,
-        )
-        bucket = ("two_tia", "180nm")
-        # Two consecutive failed group attempts trip the bucket breaker.
-        resilient.evaluate_outcomes(_requests(2, seed=20))
-        assert not resilient.breaker_open(bucket)
-        resilient.evaluate_outcomes(_requests(2, seed=21))
-        assert resilient.breaker_open(bucket)
-        assert resilient.rstats.breaker_trips == 1
-        # While open: the serial per-request path, no grouped attempts.
-        poisoned[0] = False
-        serial_before = resilient.rstats.serial_downgrades
-        healthy = resilient.evaluate_outcomes(_requests(2, seed=22))
-        assert all(not isinstance(o, EvalFailure) for o in healthy)
-        assert resilient.rstats.serial_downgrades == serial_before + 2
-        resilient.evaluate_outcomes(_requests(2, seed=23))
-        # Cooldown elapsed (2 bucket-calls): the grouped path is probed and
-        # succeeds, closing the breaker for good.
-        assert not resilient.breaker_open(bucket)
-        serial_before = resilient.rstats.serial_downgrades
-        recovered = resilient.evaluate_outcomes(_requests(2, seed=24))
-        assert all(not isinstance(o, EvalFailure) for o in recovered)
-        assert resilient.rstats.serial_downgrades == serial_before
-
     def test_strict_adapter_raises_with_taxonomy(self):
         requests = _requests(2, seed=11)
         chaos = FaultInjectingEvaluator(
@@ -365,6 +345,87 @@ class TestResilientEvaluator:
         with pytest.raises(EvalFailureError) as excinfo:
             resilient.evaluate_requests(requests)
         assert excinfo.value.failure.kind == "injected"
+
+
+# --- request validation -----------------------------------------------------------
+def _set(component, name, value):
+    def mutate(sizing):
+        sizing[component][name] = value
+
+    return mutate
+
+
+#: name -> (circuit, technology, in-place mutation of a valid two_tia sizing).
+INVALID_REQUESTS = {
+    "missing-component": ("two_tia", "180nm", lambda s: s.pop("T1")),
+    "extra-component": ("two_tia", "180nm", lambda s: s.update(T9=dict(s["T1"]))),
+    "missing-parameter": ("two_tia", "180nm", lambda s: s["T1"].pop("w")),
+    "extra-parameter": ("two_tia", "180nm", _set("T1", "vth", 0.4)),
+    "zero": ("two_tia", "180nm", _set("T1", "w", 0.0)),
+    "negative": ("two_tia", "180nm", _set("T1", "w", -2e-6)),
+    "nan": ("two_tia", "180nm", _set("T1", "w", float("nan"))),
+    "inf": ("two_tia", "180nm", _set("T1", "w", float("inf"))),
+    "numeric-string": ("two_tia", "180nm", _set("T1", "w", "2e-6")),
+    "word-string": ("two_tia", "180nm", _set("T1", "w", "wide")),
+    "bool": ("two_tia", "180nm", _set("T1", "m", True)),
+    "unknown-circuit": ("no_such_circuit", "180nm", lambda s: None),
+    "unknown-technology": ("two_tia", "7nm", lambda s: None),
+}
+
+
+class TestRequestValidation:
+    def test_bad_sizing_skips_the_stacked_batch(self):
+        requests = _requests(16, seed=14)
+        del requests[5].sizing["T1"]
+        good = [r for i, r in enumerate(requests) if i != 5]
+        reference = EvaluatorConfig(backend="vectorized").build().evaluate_requests(good)
+        inner = EvaluatorConfig(backend="vectorized").build()
+        resilient = ResilientEvaluator(inner, RetryPolicy(), sleep=_no_sleep)
+        outcomes = resilient.evaluate_outcomes(requests)
+        # One inner call, of the 15 valid designs.
+        assert inner.stats.num_batches == 1
+        assert inner.stats.num_designs == 15
+        bad = outcomes[5]
+        assert isinstance(bad, EvalFailure)
+        assert bad.kind == "invalid_request" and bad.attempts == 0
+        assert "T1" in bad.message and not bad.retryable
+        served = [o for i, o in enumerate(outcomes) if i != 5]
+        assert [o.metrics for o in served] == [r.metrics for r in reference]
+        assert resilient.quarantine == []
+        assert resilient.rstats.quarantined == 0 and resilient.rstats.retries == 0
+
+    @pytest.mark.parametrize("case", sorted(INVALID_REQUESTS))
+    def test_invalid_request_is_refused_unsimulated(self, case):
+        circuit, technology, mutate = INVALID_REQUESTS[case]
+        sizing = _requests(1, seed=15)[0].sizing
+        mutate(sizing)
+        request = EvalRequest(circuit, technology, sizing)
+        inner = RecordingEvaluator(LocalEvaluator())
+        resilient = ResilientEvaluator(inner, sleep=_no_sleep)
+        for _ in range(2):  # never quarantined: the second try is refused alike
+            outcome = resilient.evaluate_outcomes([request])[0]
+            assert isinstance(outcome, EvalFailure)
+            assert outcome.kind == "invalid_request" and outcome.attempts == 0
+            assert outcome.message.startswith("invalid request:")
+        assert inner.calls == []
+        assert resilient.quarantine == []
+        with pytest.raises(EvalFailureError):
+            resilient.evaluate_requests([request])
+
+    def test_expert_and_random_sizings_pass_every_circuit_and_node(self):
+        """The check leaves the parameter box alone: the LDO's expert
+        ``T7.l`` sits below the 180 nm floor at 65 nm and 45 nm."""
+        rng = np.random.default_rng(16)
+        for name in list_circuits():
+            for node in list_nodes():
+                circuit = get_circuit(name, node)
+                space = circuit.parameter_space
+                space.check_sizing(circuit.expert_sizing())
+                for _ in range(8):
+                    space.check_sizing(circuit.random_sizing(rng))
+        ldo = get_circuit("ldo", "65nm")
+        floor = ldo.parameter_space.component_definitions("T7")[1].lower
+        assert ldo.expert_sizing()["T7"]["l"] < floor
 
 
 # --- service integration ----------------------------------------------------------
@@ -438,6 +499,38 @@ class TestServiceResilience:
         assert snapshot["coalescer"]["failures"] == 1
         assert snapshot["resilience"]["quarantined"] == 1
         assert snapshot["chaos"]["error"] >= 1
+
+    @pytest.mark.parametrize("width", [-2e-6, None])
+    def test_invalid_sizing_refused_over_ndjson_and_http(self, width):
+        sizing = _requests(1, seed=18)[0].sizing
+        sizing["T1"]["w"] = width
+        body = json.dumps(
+            {"circuit": "two_tia", "technology": "180nm", "sizings": [sizing]}
+        ).encode("utf-8")
+        with ServerThread(ServiceConfig(port=0, linger_ms=5.0)) as server:
+            with ServiceClient(port=server.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.evaluate("two_tia", [sizing])
+                assert excinfo.value.kind == "invalid_request"
+                assert excinfo.value.retryable is False
+                assert excinfo.value.attempts == 0
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{server.port}/evaluate",
+                    data=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as http_error:
+                    urllib.request.urlopen(request)
+                assert http_error.value.code == 400
+                payload = json.load(http_error.value)
+                assert payload["kind"] == "invalid_request"
+                assert payload["retryable"] is False
+                with pytest.raises(ServiceError) as excinfo:
+                    client.evaluate("no_such_circuit", [sizing])
+                assert excinfo.value.kind == "invalid_request"
+                stats = client.stats()
+        assert stats["evaluator"]["num_simulations"] == 0
+        assert stats["resilience"]["quarantined"] == 0
 
     def test_admission_control_rejects_with_retryable_overloaded(self):
         circuit = get_circuit("two_tia", "180nm")
@@ -582,8 +675,7 @@ class TestClusterResilience:
             evaluator=chaos,
             checkpoint_every=1,
             poll_interval=0.01,
-            cell_retries=2,
-            retry_backoff_s=0.0,
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.0),
             progress=lambda _a, outcome: outcomes.append(outcome),
         )
         report = worker.run()
@@ -654,8 +746,7 @@ class TestClusterResilience:
             evaluator=chaos,
             checkpoint_every=1,
             poll_interval=0.01,
-            cell_retries=8,
-            retry_backoff_s=0.0,
+            retry=RetryPolicy(max_attempts=8, base_delay_s=0.0),
         )
         report = worker.run()
         assert report.executed == 3 and report.quarantined == 0
